@@ -15,6 +15,7 @@ from pathlib import Path
 from .brics import FragmentParams, fragment, max_fragments
 from .config import ConfigError, PipelineConfig, resolve_config
 from .dataset import (
+    LibraryFormatError,
     MoleculeLibrary,
     PairCounters,
     emit_jsonl,
@@ -115,6 +116,8 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
         lib = MoleculeLibrary.load(args.library)
     except OSError as exc:
         raise CliInputError(f"cannot read {args.library}: {exc}") from None
+    except LibraryFormatError as exc:
+        raise CliInputError(str(exc)) from None
     if cfg.k is not None:
         params = FragmentParams(k=cfg.k, alpha=cfg.alpha, seed=cfg.seed)
     else:
@@ -174,10 +177,14 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     if args.dataset:
         refs_by_id = {rec.id: rec.output for rec in read_dataset(args.dataset)}
         preds_by_id = {}
-        for line in _read_lines(args.preds):
+        for lineno, line in enumerate(_read_lines(args.preds), 1):
             if not line.strip():
                 continue
             rec_id, _, pred = line.partition("\t")
+            if rec_id in preds_by_id:
+                raise CliInputError(
+                    f"{args.preds}:{lineno}: duplicate prediction id {rec_id!r}"
+                )
             preds_by_id[rec_id] = pred
         shared = sorted(set(refs_by_id) & set(preds_by_id))
         if not shared:
@@ -188,8 +195,17 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
         if missing:
             print(f"# {missing} dataset records had no prediction", file=sys.stderr)
     else:
-        preds = [l for l in _read_lines(args.preds) if l.strip()]
-        refs = [l for l in _read_lines(args.refs) if l.strip()]
+        # Lines pair by position: a blank prediction scores as invalid,
+        # a blank reference has nothing to score against.
+        preds = _read_lines(args.preds)
+        refs = _read_lines(args.refs)
+        for lineno, ref in enumerate(refs, 1):
+            if not ref.strip():
+                raise CliInputError(f"{args.refs}:{lineno}: blank reference")
+        if len(preds) != len(refs):
+            raise CliInputError(
+                f"{args.preds} has {len(preds)} lines, {args.refs} has {len(refs)}"
+            )
     report = evaluate(preds, refs, invalid_as_zero=cfg.invalid_as_zero)
     print(report.format_table())
     print(report.to_json())

@@ -45,6 +45,10 @@ class MissingSlotError(KeyError):
     """An instruction template references a slot with no value."""
 
 
+class LibraryFormatError(ValueError):
+    """A library file row is not ``canonical<TAB>weight<TAB>token_length``."""
+
+
 @dataclass(frozen=True)
 class LibraryRecord:
     canonical: str
@@ -85,11 +89,13 @@ class MoleculeLibrary:
 
     @classmethod
     def load(cls, path: str | Path) -> "MoleculeLibrary":
+        """Read a file written by :meth:`save`; raises LibraryFormatError
+        naming ``path:line`` for a malformed row."""
         records: list[LibraryRecord] = []
         k: float | None = None
         stats = LibraryStats()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if line.startswith("# k="):
                     val = line[4:].strip()
@@ -100,8 +106,14 @@ class MoleculeLibrary:
                     continue
                 if not line or line.startswith("#"):
                     continue
-                smi, w, t = line.split("\t")
-                records.append(LibraryRecord(smi, float(w), int(t)))
+                try:
+                    smi, w, t = line.split("\t")
+                    records.append(LibraryRecord(smi, float(w), int(t)))
+                except ValueError:
+                    raise LibraryFormatError(
+                        f"{path}:{lineno}: expected canonical, weight and "
+                        f"token length separated by tabs, got {line!r}"
+                    ) from None
         return cls(records=records, stats=stats, k=k)
 
 

@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .molgraph import (
     AROMATIC,
@@ -22,7 +23,6 @@ from .molgraph import (
     TRIPLE,
     canonical_smiles,
     parse_smiles,
-    validate,
 )
 from .patterns import compile_pattern, has_match
 
@@ -44,6 +44,16 @@ def _fnv(data: bytes) -> int:
 
 def _hash_obj(obj) -> int:
     return _fnv(repr(obj).encode())
+
+
+# Atom invariants take few distinct values (one per atom kind and
+# environment), so their hashes are memoized in a bounded memo. It is
+# keyed on the repr, not the tuple, because True == 1 in a tuple key.
+_fnv_memo = lru_cache(maxsize=4096)(_fnv)
+
+
+def _hash_invariant(inv: tuple) -> int:
+    return _fnv_memo(repr(inv).encode())
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ def _atom_invariant(m: Molecule, i: int) -> tuple:
 
 
 def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
-    inv = [_hash_obj(_atom_invariant(m, i)) for i in range(len(m.atoms))]
+    inv = [_hash_invariant(_atom_invariant(m, i)) for i in range(len(m.atoms))]
     out = set(inv)
     current = inv
     for r in range(1, radius + 1):
@@ -108,7 +118,7 @@ def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
     deduplicates the two traversals.
     """
     inv = [
-        _hash_obj((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
+        _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
     ]
     bond_code = [
         _ORDER_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
@@ -173,29 +183,14 @@ _KEY_PATTERNS = [
 _HALOGENS = {"F", "Cl", "Br", "I"}
 
 
-def _ring_sizes(m: Molecule) -> list[int]:
-    from .molgraph import _small_rings
-
-    return [len(r) for r in _small_rings(m, max_size=8)]
-
-
-def _aromatic_ring_sizes(m: Molecule) -> list[int]:
-    from .molgraph import _small_rings
-
-    return [
-        len(r)
-        for r in _small_rings(m, max_size=8)
-        if all(m.atoms[i].aromatic for i in r)
-    ]
-
-
 def _computed_keys(m: Molecule) -> list[bool]:
     elements = Counter(a.element for a in m.atoms)
     n_hal = sum(elements[h] for h in _HALOGENS)
     n_double = sum(1 for b in m.bonds if b.order == DOUBLE)
     cycle_rank = len(m.bonds) - len(m.atoms) + len(m.components)
-    sizes = set(_ring_sizes(m))
-    aro_sizes = set(_aromatic_ring_sizes(m))
+    rings = m.small_rings
+    sizes = {len(r) for r in rings}
+    aro_sizes = {len(r) for r in rings if all(m.atoms[i].aromatic for i in r)}
     ring_bond_count = Counter()
     for bi in m.ring_bonds:
         for e in m.bonds[bi].endpoints:
@@ -264,7 +259,7 @@ def fingerprint(m: Molecule, scheme: str, width: int = 2048) -> FingerprintBitse
     path: simple linear bond paths of length 1..7 hashed to ``width``.
     keys: the fixed structural-key table, one bit per key.
     """
-    report = validate(m)
+    report = m.validity
     if not report.valid:
         raise FingerprintError(f"invalid molecule: {report.failures[0][1]}")
     if scheme == MORGAN:
@@ -299,19 +294,40 @@ def tanimoto(a: FingerprintBitset, b: FingerprintBitset) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Minimum number of unit-cost edits (insert/delete/substitute)."""
+    """Minimum number of unit-cost edits (insert/delete/substitute).
+
+    Bit-parallel over Python ints (Myers 1999, in Hyyro's 2001 form for
+    the global distance): bit i of the vertical delta vectors holds
+    D[i+1][j] - D[i][j] for the longer string ``a`` against the first j
+    characters of ``b``, so the loop runs once per character of the
+    shorter string.
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            cost = previous[j - 1] + (ca != cb)
-            current.append(min(previous[j] + 1, current[-1] + 1, cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)  # negative: ones above bit len(a) - 1
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def _ngram_counts(chars: str, n: int) -> Counter:
@@ -341,7 +357,7 @@ def _try_parse(s: str) -> Molecule | None:
         m = parse_smiles(s)
     except SmilesError:
         return None
-    return m if validate(m).valid else None
+    return m if m.validity.valid else None
 
 
 def exact_match(pred: str, ref: str) -> int:
@@ -438,6 +454,10 @@ def evaluate(
     the skipped count reported; with ``invalid_as_zero`` those pairs
     score 0 instead of being skipped. Raises ValueError when the lists
     have different lengths.
+
+    Each distinct molecule, by canonical SMILES, is fingerprinted once
+    per call and its bitsets reused. An exact hit needs none: both sides
+    are one graph, so every similarity is tanimoto(x, x) == 1.0.
     """
     if len(preds) != len(refs):
         raise ValueError("preds and refs must have equal length")
@@ -452,21 +472,34 @@ def evaluate(
     fts_sums = {s: 0.0 for s in _FTS_SCHEMES}
     fts_n = 0
     skipped = 0
+    fingerprints: dict[str, dict[str, FingerprintBitset]] = {}
+
+    def fingerprints_of(m: Molecule, canonical: str) -> dict[str, FingerprintBitset]:
+        fps = fingerprints.get(canonical)
+        if fps is None:
+            fps = {s: fingerprint(m, s, width) for s in _FTS_SCHEMES}
+            fingerprints[canonical] = fps
+        return fps
 
     for pred, ref in zip(preds, refs):
         pm = _try_parse(pred)
         rm = _try_parse(ref)
         if pm is not None:
             valid_count += 1
-        if pm is not None and rm is not None:
-            exact_sum += int(canonical_smiles(pm) == canonical_smiles(rm))
         bleu_sum += bleu(pred, ref)
         lev_sum += levenshtein(pred, ref)
         if pm is not None and rm is not None:
-            for s in _FTS_SCHEMES:
-                fts_sums[s] += tanimoto(
-                    fingerprint(pm, s, width), fingerprint(rm, s, width)
-                )
+            pc = canonical_smiles(pm)
+            rc = canonical_smiles(rm)
+            if pc == rc:
+                exact_sum += 1
+                for s in _FTS_SCHEMES:
+                    fts_sums[s] += 1.0
+            else:
+                pfp = fingerprints_of(pm, pc)
+                rfp = fingerprints_of(rm, rc)
+                for s in _FTS_SCHEMES:
+                    fts_sums[s] += tanimoto(pfp[s], rfp[s])
             fts_n += 1
         else:
             skipped += 1

@@ -152,6 +152,36 @@ class Molecule:
     def connected(self) -> bool:
         return len(self.components) <= 1
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The :func:`validate` report, computed once per molecule."""
+        return validate(self)
+
+    @cached_property
+    def small_rings(self) -> tuple[tuple[int, ...], ...]:
+        """One shortest cycle of at most 8 atoms through every ring bond
+        (a compact cycle set)."""
+        rings: list[tuple[int, ...]] = []
+        seen: set[frozenset[int]] = set()
+        for bi in sorted(self.ring_bonds):
+            a, b = self.bonds[bi].endpoints
+            path = _shortest_path(self, a, b, skip_bond=bi, limit=7)
+            if path is None:
+                continue
+            key = frozenset(path)
+            if key not in seen:
+                seen.add(key)
+                rings.append(tuple(path))
+        return tuple(rings)
+
+    @cached_property
+    def atoms_by_kind(self) -> dict[tuple[str, bool], tuple[int, ...]]:
+        """Ascending atom indices keyed by (element, aromatic); read-only."""
+        index: dict[tuple[str, bool], list[int]] = {}
+        for i, a in enumerate(self.atoms):
+            index.setdefault((a.element, a.aromatic), []).append(i)
+        return {kind: tuple(idx) for kind, idx in index.items()}
+
     def degree(self, idx: int) -> int:
         return len(self.neighbors[idx])
 
@@ -560,7 +590,7 @@ def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> i
 
 def _perceive_aromatic(work, raw_bonds, orders, provisional: Molecule) -> None:
     """Upgrade Huckel-count rings written in Kekule form to aromatic."""
-    rings = _small_rings(provisional)
+    rings = provisional.small_rings
     if not rings:
         return
     adj: list[list[tuple[int, str]]] = [[] for _ in work]
@@ -621,22 +651,6 @@ def _perceive_aromatic(work, raw_bonds, orders, provisional: Molecule) -> None:
     for bi, (a, b, _, _) in enumerate(raw_bonds):
         if orders[bi] == AROMATIC and not (work[a].aromatic and work[b].aromatic):
             orders[bi] = SINGLE
-
-
-def _small_rings(m: Molecule, max_size: int = 8) -> list[tuple[int, ...]]:
-    """One shortest cycle through every ring bond (a compact cycle set)."""
-    rings: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
-    for bi in sorted(m.ring_bonds):
-        a, b = m.bonds[bi].endpoints
-        path = _shortest_path(m, a, b, skip_bond=bi, limit=max_size - 1)
-        if path is None:
-            continue
-        key = frozenset(path)
-        if key not in seen:
-            seen.add(key)
-            rings.append(tuple(path))
-    return rings
 
 
 def _shortest_path(m: Molecule, src: int, dst: int, skip_bond: int, limit: int):

@@ -18,7 +18,7 @@ molecule atom, remaining atoms are assigned by backtracking.
 
 from __future__ import annotations
 
-import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +27,8 @@ from .molgraph import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE
 
 AtomTest = Callable[[Molecule, int], bool]
 BondTest = Callable[[Molecule, int], bool]
+# (element, aromatic) an atom test is pinned to; None when it admits several.
+AtomKind = tuple[str, bool] | None
 
 
 class PatternError(ValueError):
@@ -36,6 +38,7 @@ class PatternError(ValueError):
 @dataclass
 class _Node:
     test: AtomTest
+    kind: AtomKind = None
     anchor: tuple[int, BondTest] | None = None  # parent node index + bond test
     extra: list[tuple[int, BondTest]] = field(default_factory=list)
 
@@ -44,14 +47,22 @@ class _Node:
 class Pattern:
     """Compiled pattern; match with :func:`match_at` / :func:`has_match`.
 
-    ``root_element``/``root_aromatic``, when set, are a sound prefilter:
-    only atoms with that element (and aromatic flag) can anchor a match.
+    Both prefilters below are derived from the atom kind, (element,
+    aromatic), that each compiled node's test pins its atom to, if any.
+
+    ``root_element``/``root_aromatic``, when set, are the first node's
+    kind: only atoms of that kind can anchor a match.
+
+    ``required`` counts the pinned nodes per kind. Distinct nodes map to
+    distinct atoms, so a molecule with fewer atoms of some required kind
+    cannot match anywhere.
     """
 
     nodes: list[_Node]
     text: str
     root_element: str | None = None
     root_aromatic: bool | None = None
+    required: dict[tuple[str, bool], int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -114,14 +125,18 @@ def _elem_test(symbol: str, aromatic: bool | None) -> AtomTest:
     return test
 
 
-def _scan_primitive(expr: str, i: int, in_bracket: bool = True) -> tuple[AtomTest, int]:
+def _scan_primitive(
+    expr: str, i: int, in_bracket: bool = True
+) -> tuple[AtomTest, AtomKind, int]:
+    """Compile the primitive at ``expr[i]``; return its test, the atom
+    kind it pins (element symbols only) and the index after it."""
     ch = expr[i]
     if ch == "*":
-        return (lambda m, idx: True), i + 1
+        return (lambda m, idx: True), None, i + 1
     if ch == "a":
-        return (lambda m, idx: m.atoms[idx].aromatic), i + 1
+        return (lambda m, idx: m.atoms[idx].aromatic), None, i + 1
     if ch == "A":
-        return (lambda m, idx: not m.atoms[idx].aromatic), i + 1
+        return (lambda m, idx: not m.atoms[idx].aromatic), None, i + 1
     if ch == "#":
         j = i + 1
         while j < len(expr) and expr[j].isdigit():
@@ -129,7 +144,7 @@ def _scan_primitive(expr: str, i: int, in_bracket: bool = True) -> tuple[AtomTes
         if j == i + 1:
             raise PatternError(f"'#' needs digits in {expr!r}")
         num = int(expr[i + 1 : j])
-        return (lambda m, idx, n=num: _atomic_number(m, idx) == n), j
+        return (lambda m, idx, n=num: _atomic_number(m, idx) == n), None, j
     if ch == "D":
         j = i + 1
         while j < len(expr) and expr[j].isdigit():
@@ -137,17 +152,17 @@ def _scan_primitive(expr: str, i: int, in_bracket: bool = True) -> tuple[AtomTes
         if j == i + 1:
             raise PatternError(f"'D' needs a digit in {expr!r}")
         num = int(expr[i + 1 : j])
-        return (lambda m, idx, n=num: m.degree(idx) == n), j
+        return (lambda m, idx, n=num: m.degree(idx) == n), None, j
     if ch == "H":
         j = i + 1
         while j < len(expr) and expr[j].isdigit():
             j += 1
         num = int(expr[i + 1 : j]) if j > i + 1 else 1
-        return (lambda m, idx, n=num: m.atoms[idx].h_total == n), j
+        return (lambda m, idx, n=num: m.atoms[idx].h_total == n), None, j
     if ch == "R":
         if i + 1 < len(expr) and expr[i + 1] == "0":
-            return (lambda m, idx: idx not in m.ring_atoms), i + 2
-        return (lambda m, idx: idx in m.ring_atoms), i + 1
+            return (lambda m, idx: idx not in m.ring_atoms), None, i + 2
+        return (lambda m, idx: idx in m.ring_atoms), None, i + 1
     if ch in "+-":
         sign = 1 if ch == "+" else -1
         j = i + 1
@@ -156,13 +171,13 @@ def _scan_primitive(expr: str, i: int, in_bracket: bool = True) -> tuple[AtomTes
             while k < len(expr) and expr[k].isdigit():
                 k += 1
             val = sign * int(expr[j:k])
-            return (lambda m, idx, v=val: m.atoms[idx].formal_charge == v), k
+            return (lambda m, idx, v=val: m.atoms[idx].formal_charge == v), None, k
         count = 1
         while j < len(expr) and expr[j] == ch:
             count += 1
             j += 1
         val = sign * count
-        return (lambda m, idx, v=val: m.atoms[idx].formal_charge == v), j
+        return (lambda m, idx, v=val: m.atoms[idx].formal_charge == v), None, j
     if ch == "$":
         if i + 1 >= len(expr) or expr[i + 1] != "(":
             raise PatternError(f"'$' needs '(...)' in {expr!r}")
@@ -179,34 +194,41 @@ def _scan_primitive(expr: str, i: int, in_bracket: bool = True) -> tuple[AtomTes
         if depth != 0:
             raise PatternError(f"unbalanced '$(' in {expr!r}")
         sub = compile_pattern(expr[i + 2 : j])
-        return (lambda m, idx, p=sub: match_at(p, m, idx)), j + 1
+        return (lambda m, idx, p=sub: match_at(p, m, idx)), None, j + 1
     if ch.isupper():
         two = expr[i : i + 2]
         # Outside brackets only Cl/Br are two-letter symbols ("Sc" is
         # sulfur followed by an aromatic carbon).
         if len(two) == 2 and two[1].islower() and two in ATOMIC_NUMBERS:
             if in_bracket or two in ("Cl", "Br"):
-                return _elem_test(two, False), i + 2
+                return _elem_test(two, False), (two, False), i + 2
         if ch in ATOMIC_NUMBERS:
-            return _elem_test(ch, False), i + 1
+            return _elem_test(ch, False), (ch, False), i + 1
         raise PatternError(f"unknown element {ch!r} in {expr!r}")
     if ch.islower():
         sym = ch.upper()
         if sym in ATOMIC_NUMBERS:
-            return _elem_test(sym, True), i + 1
+            return _elem_test(sym, True), (sym, True), i + 1
         raise PatternError(f"unknown aromatic element {ch!r} in {expr!r}")
     raise PatternError(f"bad atom primitive at {expr[i:]!r}")
 
 
-def _compile_atom_expr(expr: str) -> AtomTest:
-    """Compile a bracket atom expression honoring !, &, ',' and ';'."""
+def _first_kind(kinds) -> AtomKind:
+    return next((k for k in kinds if k is not None), None)
+
+
+def _compile_atom_expr(expr: str) -> tuple[AtomTest, AtomKind]:
+    """Compile a bracket atom expression honoring !, &, ',' and ';'.
+
+    The kind is pinned when an AND-ed term pins it: a non-negated element
+    primitive, or an OR whose alternatives all pin the same kind."""
     # Tokenize into primitives and separators, respecting $() nesting.
-    items: list[tuple[str, AtomTest | None]] = []
+    items: list[tuple[str, AtomTest | None, AtomKind]] = []
     i = 0
     while i < len(expr):
         ch = expr[i]
         if ch in ";,&":
-            items.append((ch, None))
+            items.append((ch, None, None))
             i += 1
             continue
         neg = False
@@ -215,74 +237,46 @@ def _compile_atom_expr(expr: str) -> AtomTest:
             i += 1
         if i >= len(expr):
             raise PatternError(f"dangling '!' in {expr!r}")
-        test, i = _scan_primitive(expr, i)
+        test, kind, i = _scan_primitive(expr, i)
         if neg:
             test = (lambda m, idx, t=test: not t(m, idx))
-        items.append(("prim", test))
+            kind = None
+        items.append(("prim", test, kind))
     # ';' splits AND groups; ',' splits OR alternatives inside a group;
     # adjacent/&-joined primitives AND together inside an alternative.
-    groups: list[list[list[AtomTest]]] = [[[]]]
-    for kind, test in items:
-        if kind == ";":
+    groups: list[list[list[tuple[AtomTest, AtomKind]]]] = [[[]]]
+    for sep, test, kind in items:
+        if sep == ";":
             groups.append([[]])
-        elif kind == ",":
+        elif sep == ",":
             groups[-1].append([])
-        elif kind == "&":
+        elif sep == "&":
             continue
         else:
-            groups[-1][-1].append(test)
+            groups[-1][-1].append((test, kind))
     and_tests: list[AtomTest] = []
+    group_kinds: list[AtomKind] = []
     for group in groups:
         alts: list[AtomTest] = []
+        alt_kinds: set[AtomKind] = set()
         for seq in group:
             if not seq:
                 raise PatternError(f"empty term in {expr!r}")
-            if len(seq) == 1:
-                alts.append(seq[0])
+            tests = tuple(t for t, _ in seq)
+            if len(tests) == 1:
+                alts.append(tests[0])
             else:
-                alts.append(lambda m, idx, ss=tuple(seq): all(t(m, idx) for t in ss))
+                alts.append(lambda m, idx, ss=tests: all(t(m, idx) for t in ss))
+            alt_kinds.add(_first_kind(k for _, k in seq))
+        group_kinds.append(alt_kinds.pop() if len(alt_kinds) == 1 else None)
         if len(alts) == 1:
             and_tests.append(alts[0])
         else:
             and_tests.append(lambda m, idx, aa=tuple(alts): any(t(m, idx) for t in aa))
+    kind = _first_kind(group_kinds)
     if len(and_tests) == 1:
-        return and_tests[0]
-    return lambda m, idx, tt=tuple(and_tests): all(t(m, idx) for t in tt)
-
-
-def _root_hint(text: str) -> tuple[str | None, bool | None]:
-    """Element the first pattern atom is pinned to, if any.
-
-    Valid only when the leading primitive is an element symbol that is
-    AND-combined with whatever follows (no top-level ',' before the first
-    ';' or the bracket close)."""
-    if text.startswith("["):
-        depth = 0
-        head = ""
-        for ch in text[1:]:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0:
-                if ch in ";]":
-                    break
-                if ch == ",":
-                    return None, None
-                head += ch
-        body = head
-    else:
-        body = text
-    if text.startswith("["):
-        m = re.match(r"(Cl|Br|[A-Z][a-z]?)", body)
-    else:
-        m = re.match(r"(Cl|Br|[A-Z])", body)
-    if m and m.group(1) in ATOMIC_NUMBERS:
-        return m.group(1), False
-    m = re.match(r"([bcnops])", body)
-    if m:
-        return m.group(1).upper(), True
-    return None, None
+        return and_tests[0], kind
+    return lambda m, idx, tt=tuple(and_tests): all(t(m, idx) for t in tt), kind
 
 
 def compile_pattern(text: str) -> Pattern:
@@ -307,7 +301,7 @@ def compile_pattern(text: str) -> Pattern:
                 j += 1
             if depth:
                 raise PatternError(f"unterminated '[' in {text!r}")
-            test = _compile_atom_expr(text[i + 1 : j - 1])
+            test, kind = _compile_atom_expr(text[i + 1 : j - 1])
             i = j
         elif ch in "-=#:~@!":
             pending += ch
@@ -343,9 +337,8 @@ def compile_pattern(text: str) -> Pattern:
             i += 1
             continue
         else:
-            test, j = _scan_primitive(text, i, in_bracket=False)
-            i = j
-        node = _Node(test=test)
+            test, kind, i = _scan_primitive(text, i, in_bracket=False)
+        node = _Node(test=test, kind=kind)
         if prev is not None:
             node.anchor = (prev, _compile_bond(pending))
         elif pending:
@@ -359,9 +352,13 @@ def compile_pattern(text: str) -> Pattern:
         raise PatternError(f"unmatched '(' in {text!r}")
     if not nodes:
         raise PatternError("empty pattern")
-    element, aromatic = _root_hint(text)
+    root_element, root_aromatic = nodes[0].kind or (None, None)
     return Pattern(
-        nodes=nodes, text=text, root_element=element, root_aromatic=aromatic
+        nodes=nodes,
+        text=text,
+        root_element=root_element,
+        root_aromatic=root_aromatic,
+        required=dict(Counter(n.kind for n in nodes if n.kind is not None)),
     )
 
 
@@ -421,11 +418,12 @@ def match_at(pattern: Pattern, m: Molecule, root: int) -> bool:
 
 def has_match(pattern: Pattern, m: Molecule) -> bool:
     """True when the pattern matches anchored at any atom."""
-    if pattern.root_element is not None:
-        return any(
-            match_at(pattern, m, i)
-            for i, a in enumerate(m.atoms)
-            if a.element == pattern.root_element
-            and a.aromatic == pattern.root_aromatic
-        )
-    return any(match_at(pattern, m, i) for i in range(len(m.atoms)))
+    by_kind = m.atoms_by_kind
+    for kind, count in pattern.required.items():
+        if len(by_kind.get(kind, ())) < count:
+            return False
+    if pattern.root_element is None:
+        roots = range(len(m.atoms))
+    else:
+        roots = by_kind.get((pattern.root_element, pattern.root_aromatic), ())
+    return any(match_at(pattern, m, i) for i in roots)

@@ -86,6 +86,12 @@ class TestBuildCommand:
         assert main(["build", "--library", str(tmp_path / "no.tsv")]) == EXIT_IO
         assert "error[io]" in capsys.readouterr().err
 
+    def test_malformed_library_row(self, tmp_path, capsys):
+        lib = tmp_path / "lib.tsv"
+        lib.write_text("# k=3.0\nCC\t30.07\t2\nCCO\t46.07\n")
+        assert main(["build", "--library", str(lib), "--out", str(tmp_path / "d")]) == EXIT_IO
+        assert f"error[io]: {lib}:3: " in capsys.readouterr().err
+
 
 class TestTokenizeCommand:
     def test_prints_ids(self, capsys):
@@ -143,6 +149,54 @@ class TestEvalCommand:
         assert main(["eval", "--dataset", str(out), str(preds)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert report["exact"] == 1.0
+
+    def test_blank_prediction_scores_invalid(self, tmp_path, capsys):
+        preds = tmp_path / "preds.txt"
+        refs = tmp_path / "refs.txt"
+        preds.write_text("CCO\n\nc1ccccc1\n")
+        refs.write_text("CCO\nCCN\nc1ccccc1\n")
+        assert main(["eval", str(preds), str(refs)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["n"] == 3
+        assert report["validity"] == round(2 / 3, 6)
+        assert report["exact"] == round(2 / 3, 6)
+        assert report["fts_skipped"] == 1
+
+    def test_blank_reference_names_line(self, tmp_path, capsys):
+        # Blanks at different positions must not re-pair the other lines.
+        preds = tmp_path / "preds.txt"
+        refs = tmp_path / "refs.txt"
+        preds.write_text("CCO\n\nc1ccccc1\n")
+        refs.write_text("CCO\nc1ccccc1\n\n")
+        assert main(["eval", str(preds), str(refs)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"error[io]: {refs}:3: blank reference" in captured.err
+        assert "exact" not in captured.out
+
+    def test_line_count_mismatch(self, tmp_path, capsys):
+        preds = tmp_path / "preds.txt"
+        refs = tmp_path / "refs.txt"
+        preds.write_text("CCO\nCCN\n")
+        refs.write_text("CCO\n")
+        assert main(["eval", str(preds), str(refs)]) == EXIT_IO
+        assert "error[io]" in capsys.readouterr().err
+
+    def test_dataset_duplicate_prediction_id(self, small_library, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["build", "--library", str(small_library), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        shard = (out / manifest["shards"][0]["path"]).read_text().splitlines()
+        first, second = (json.loads(line) for line in shard[:2])
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(
+            f"{first['id']}\t{first['output']}\n"
+            f"{second['id']}\t{second['output']}\n"
+            f"{first['id']}\tC\n"
+        )
+        assert main(["eval", "--dataset", str(out), str(preds)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error[io]: {preds}:3: duplicate prediction id" in err
 
     def test_unreadable_preds(self, tmp_path, capsys):
         refs = tmp_path / "refs.txt"

@@ -6,6 +6,7 @@ import pytest
 from fragsmith.brics import FragmentParams, fragment
 from fragsmith.dataset import (
     InstructionRecord,
+    LibraryFormatError,
     MissingSlotError,
     MoleculeLibrary,
     PairCounters,
@@ -80,6 +81,13 @@ class TestPreprocess:
         assert loaded.records == library.records
         assert loaded.k == library.k
         assert loaded.stats == library.stats
+
+    @pytest.mark.parametrize("row", ["CCO\t46.07", "CCO\t46.07\t3\t9", "CCO\theavy\t3"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "library.tsv"
+        path.write_text(f"# k=3.0\nCC\t30.07\t2\n{row}\n")
+        with pytest.raises(LibraryFormatError, match=f"library.tsv:3: "):
+            MoleculeLibrary.load(path)
 
 
 class TestPretrainPairs:

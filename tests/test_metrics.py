@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fragsmith.metrics import (
     KEY_TABLE_SIZE,
     KEYS,
     MORGAN,
     PATH,
+    EvalReport,
     FingerprintBitset,
     FingerprintError,
     bleu,
@@ -18,7 +19,13 @@ from fragsmith.metrics import (
     tanimoto,
     topk_accuracy,
 )
-from fragsmith.molgraph import canonical_smiles, parse_smiles, randomized_smiles
+from fragsmith.molgraph import (
+    SmilesError,
+    canonical_smiles,
+    parse_smiles,
+    randomized_smiles,
+    validate,
+)
 
 from oracles import bleu_reference, levenshtein_matrix
 
@@ -57,6 +64,19 @@ class TestLevenshtein:
 
     @given(st.text(max_size=25), st.text(max_size=25))
     def test_matches_matrix_oracle(self, a, b):
+        assert levenshtein(a, b) == levenshtein_matrix(a, b)
+
+    # A small alphabet keeps long strings similar, so the bit vectors of
+    # the bit-parallel algorithm span several 64-bit words and carry.
+    @given(
+        st.text(alphabet="Cc1(=)é中", max_size=150),
+        st.text(alphabet="Cc1(=)é中", max_size=150),
+    )
+    @example("", "")
+    @example("", "C" * 70)
+    @example("C" * 65 + "é", "C" * 64 + "中é")
+    @example("c1ccccc1" * 12, "c1cc(=C)ccc1" * 9)
+    def test_long_and_non_ascii_match_matrix_oracle(self, a, b):
         assert levenshtein(a, b) == levenshtein_matrix(a, b)
 
     @given(st.text(max_size=15), st.text(max_size=15), st.text(max_size=15))
@@ -106,6 +126,15 @@ class TestFingerprint:
                 for seed in range(3):
                     alt = parse_smiles(randomized_smiles(m, seed))
                     assert fingerprint(alt, scheme) == base, (smi, scheme)
+
+    def test_canonical_round_trip_same_bits(self, corpus_lines):
+        # evaluate shares fingerprints between molecules with one
+        # canonical SMILES, so that string must fix every fingerprint bit.
+        for smi in corpus_lines:
+            m = parse_smiles(smi)
+            again = parse_smiles(canonical_smiles(m))
+            for scheme in (MORGAN, PATH, KEYS):
+                assert fingerprint(again, scheme) == fingerprint(m, scheme), (smi, scheme)
 
     def test_kekule_vs_aromatic_same_bits(self):
         a = fingerprint(parse_smiles("c1ccccc1"), MORGAN)
@@ -287,6 +316,61 @@ class TestEvaluate:
     def test_empty_lists(self):
         report = evaluate([], [])
         assert report.n == 0
+
+    @pytest.mark.parametrize("invalid_as_zero", [False, True])
+    def test_matches_per_pair_recomputation(self, corpus_lines, invalid_as_zero):
+        # Repeated references, exact hits written differently, repeated
+        # predictions, invalid predictions and an invalid reference, each
+        # scored from scratch.
+        mols = [parse_smiles(s) for s in corpus_lines[:5]]
+        preds, refs = [], []
+        for k in range(20):
+            ref = mols[k % 5]
+            refs.append(randomized_smiles(ref, k))
+            if k % 4 == 0:
+                preds.append(randomized_smiles(ref, k + 100))
+            elif k % 4 == 1:
+                preds.append(corpus_lines[20 + k % 3])
+            elif k % 4 == 2:
+                preds.append(canonical_smiles(ref) + "C")
+            else:
+                preds.append("C1CC" if k % 8 == 3 else "CC(C)(C)(C)C")
+        preds.append("CCO")
+        refs.append("C1CC")
+
+        def fresh(s):
+            try:
+                m = parse_smiles(s)
+            except SmilesError:
+                return None
+            return m if validate(m).valid else None
+
+        schemes = (PATH, KEYS, MORGAN)
+        sums = dict.fromkeys(schemes, 0.0)
+        exact = bleu_sum = lev = valid = fts_n = 0
+        for p, r in zip(preds, refs):
+            valid += fresh(p) is not None
+            exact += exact_match(p, r)
+            bleu_sum += bleu(p, r)
+            lev += levenshtein_matrix(p, r)
+            if fresh(p) is not None and fresh(r) is not None:
+                for s in schemes:
+                    sums[s] += tanimoto(fingerprint(fresh(p), s), fingerprint(fresh(r), s))
+                fts_n += 1
+        n = len(preds)
+        assert 0 < exact < fts_n < valid < n
+        denom = n if invalid_as_zero else fts_n
+        assert evaluate(preds, refs, invalid_as_zero=invalid_as_zero) == EvalReport(
+            exact=exact / n,
+            bleu=bleu_sum / n,
+            levenshtein=lev / n,
+            fts_path=sums[PATH] / denom,
+            fts_keys=sums[KEYS] / denom,
+            fts_morgan=sums[MORGAN] / denom,
+            validity=valid / n,
+            n=n,
+            fts_skipped=n - fts_n,
+        )
 
     def test_report_serialization(self):
         report = evaluate(["CCO"], ["CCO"])

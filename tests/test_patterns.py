@@ -1,5 +1,6 @@
 import pytest
 
+from fragsmith.metrics import _KEY_PATTERNS
 from fragsmith.molgraph import parse_smiles
 from fragsmith.patterns import PatternError, compile_pattern, has_match, match_at
 
@@ -102,3 +103,23 @@ def test_root_hint_extraction():
     assert compile_pattern("[#6]").root_element is None
     assert compile_pattern("[Se]").root_element == "Se"
     assert compile_pattern("Sc").root_element == "S"
+
+
+def test_required_atom_kinds():
+    assert compile_pattern("c1ccncc1").required == {("C", True): 5, ("N", True): 1}
+    assert compile_pattern("[C;D3](=O)[O;H1]").required == {("C", False): 1, ("O", False): 2}
+    assert compile_pattern("[N;!R;$(N[C]=O)]").required == {("N", False): 1}
+    assert compile_pattern("[C,C;R]").required == {("C", False): 1}
+    assert compile_pattern("[C,N]").required == {}
+    assert compile_pattern("[!C]").required == {}
+    assert compile_pattern("[#6]O").required == {("O", False): 1}
+    assert compile_pattern("[#6]O").root_element is None
+
+
+def test_filtered_has_match_equals_scan_of_every_atom(corpus_lines):
+    patterns = [compile_pattern(t) for t in _KEY_PATTERNS]
+    for smi in corpus_lines:
+        m = parse_smiles(smi)
+        for p in patterns:
+            every_atom = any(match_at(p, m, i) for i in range(len(m.atoms)))
+            assert has_match(p, m) == every_atom, (p.text, smi)
