@@ -23,6 +23,7 @@ from .molgraph import (
     Bond,
     Molecule,
     canonical_smiles,
+    connected_components,
     validate,
 )
 from .patterns import Pattern, compile_pattern, match_at
@@ -152,6 +153,37 @@ def max_fragments(length: int, k: int, alpha: float) -> int:
     return min(length, math.ceil(chunks**alpha))
 
 
+# id(rules) -> (rules, pairs, rules by atom kind, unpinned rules); holding
+# the table keeps its id unique.
+_INDEX_CACHE: dict[int, tuple] = {}
+
+
+def _rule_index(rules: tuple[BricsRule, ...]) -> tuple:
+    """The table's single-bond (label, partner) pairs in preference order;
+    per (element, aromatic) kind, the rules whose pattern root is pinned
+    to it plus the unpinned ones; and the unpinned ones alone, for every
+    other kind. A label in no single-bond pair never decides a cut, so
+    its rule is left out."""
+    hit = _INDEX_CACHE.get(id(rules))
+    if hit is None:
+        pairs = tuple(sorted(
+            (rule.label, p)
+            for rule in rules
+            if rule.bond_kind == SINGLE
+            for p in rule.partners
+            if p >= rule.label
+        ))
+        used = [r for r in rules if any(r.label in pair for pair in pairs)]
+        unpinned = tuple(r for r in used if r.pattern.root_element is None)
+        by_kind: dict[tuple[str, bool], tuple[BricsRule, ...]] = {}
+        for r in used:
+            if r.pattern.root_element is not None:
+                kind = (r.pattern.root_element, r.pattern.root_aromatic)
+                by_kind[kind] = by_kind.get(kind, unpinned) + (r,)
+        hit = _INDEX_CACHE[id(rules)] = (rules, pairs, by_kind, unpinned)
+    return hit[1:]
+
+
 def find_brics_bonds(
     m: Molecule, rules: tuple[BricsRule, ...] | None = None
 ) -> list[BricsBond]:
@@ -159,35 +191,39 @@ def find_brics_bonds(
 
     A bond qualifies when it is single, acyclic, and its endpoint
     environments form a permitted pair. When several pairs apply, the
-    lowest (label, partner) pair in the table wins. Molecules that
-    already contain dummy atoms are rejected.
+    lowest (label, partner) pair in the table wins. Only the endpoints of
+    single acyclic bonds are labelled, each once and only against the
+    rules that can match it: those whose pattern root is pinned to the
+    atom's (element, aromatic) kind or not pinned at all, and whose label
+    appears in some single-bond pair. Molecules that already contain
+    dummy atoms are rejected.
     """
     if any(a.is_dummy for a in m.atoms):
         raise FragmentationError("molecule already contains dummy atoms")
     if rules is None:
         rules = load_rules()
+    pairs, by_kind, unpinned = _rule_index(rules)
+    labels: dict[int, set[int]] = {}
 
-    atom_labels: list[set[int]] = []
-    for i in range(len(m.atoms)):
-        matched = {r.label for r in rules if match_at(r.pattern, m, i)}
-        atom_labels.append(matched)
-
-    pairs: list[tuple[int, int]] = []
-    for rule in rules:
-        if rule.bond_kind != SINGLE:
-            continue
-        for p in rule.partners:
-            if p >= rule.label:
-                pairs.append((rule.label, p))
-    pairs.sort()
+    def labels_of(i: int) -> set[int]:
+        found = labels.get(i)
+        if found is None:
+            a = m.atoms[i]
+            candidates = by_kind.get((a.element, a.aromatic), unpinned)
+            found = labels[i] = {r.label for r in candidates if match_at(r.pattern, m, i)}
+        return found
 
     out: list[BricsBond] = []
+    ring_bonds = m.ring_bonds
     for bi, bond in enumerate(m.bonds):
-        if bond.order != SINGLE or bi in m.ring_bonds:
+        if bond.order != SINGLE or bi in ring_bonds:
             continue
         a, b = bond.endpoints
-        la_set, lb_set = atom_labels[a], atom_labels[b]
-        if not la_set or not lb_set:
+        la_set = labels_of(a)
+        if not la_set:
+            continue
+        lb_set = labels_of(b)
+        if not lb_set:
             continue
         for la, lb in pairs:
             if la in la_set and lb in lb_set:
@@ -246,25 +282,11 @@ def cut_bonds(
         )
 
     cut_ids = {bb.bond_index for bb in chosen}
-    # Connected components of the graph with the cut bonds removed.
-    comp_of = [-1] * len(m.atoms)
-    n_comp = 0
-    for start in range(len(m.atoms)):
-        if comp_of[start] != -1:
-            continue
-        stack = [start]
-        comp_of[start] = n_comp
-        while stack:
-            i = stack.pop()
-            for j, bi in m.neighbors[i]:
-                if bi in cut_ids or comp_of[j] != -1:
-                    continue
-                comp_of[j] = n_comp
-                stack.append(j)
-        n_comp += 1
+    comps = connected_components(m, cut_ids)
+    comp_of = {i: c for c, comp in enumerate(comps) for i in comp}
 
-    frag_atoms: list[list[Atom]] = [[] for _ in range(n_comp)]
-    frag_bonds: list[list[Bond]] = [[] for _ in range(n_comp)]
+    frag_atoms: list[list[Atom]] = [[] for _ in comps]
+    frag_bonds: list[list[Bond]] = [[] for _ in comps]
     local_idx: dict[int, int] = {}
     for i, atom in enumerate(m.atoms):
         c = comp_of[i]
@@ -297,7 +319,7 @@ def cut_bonds(
         provenance.append((sites[0], sites[1]))
 
     fragments = []
-    for c in range(n_comp):
+    for c in range(len(comps)):
         frag = Molecule(
             atoms=tuple(frag_atoms[c]), bonds=tuple(frag_bonds[c]), source_text=""
         )

@@ -129,7 +129,7 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
             raise CliInputError(f"cannot read {args.reactions}: no such file")
         records.extend(
             make_finetune_pairs(
-                read_reactions(args.reactions), vocab, templates, counters
+                read_reactions(args.reactions, counters), vocab, templates, counters
             )
         )
     out_dir = args.out or cfg.out
@@ -157,6 +157,7 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
                 "skipped_no_cut": counters.skipped_no_cut,
                 "skipped_unparseable": counters.skipped_unparseable,
                 "skipped_filtered": counters.skipped_filtered,
+                "skipped_malformed": counters.skipped_malformed,
             },
             indent=2,
         )

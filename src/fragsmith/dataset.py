@@ -279,6 +279,7 @@ class PairCounters:
     skipped_unparseable: int = 0
     skipped_empty: int = 0
     skipped_filtered: int = 0
+    skipped_malformed: int = 0
 
 
 def make_pretrain_pairs(
@@ -398,9 +399,12 @@ def make_finetune_pairs(
         )
 
 
-def read_reactions(path: str | Path) -> Iterator[tuple[list[str], str, str]]:
+def read_reactions(
+    path: str | Path, counters: PairCounters | None = None
+) -> Iterator[tuple[list[str], str, str]]:
     """Read tab-separated reaction lines:
-    ``reactants_dot_joined<TAB>product<TAB>reaction_type``."""
+    ``reactants_dot_joined<TAB>product<TAB>reaction_type``. Rows without
+    exactly 3 columns are skipped and counted as ``skipped_malformed``."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -408,6 +412,8 @@ def read_reactions(path: str | Path) -> Iterator[tuple[list[str], str, str]]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
+                if counters is not None:
+                    counters.skipped_malformed += 1
                 continue
             reactants = [r for r in parts[0].split(".") if r]
             yield (reactants, parts[1], parts[2])

@@ -360,20 +360,22 @@ def _try_parse(s: str) -> Molecule | None:
     return m if m.validity.valid else None
 
 
+def _canonical(s: str) -> str | None:
+    m = _try_parse(s)
+    return None if m is None else canonical_smiles(m)
+
+
 def exact_match(pred: str, ref: str) -> int:
     """1 when both parse and canonicalize identically, else 0."""
-    pm = _try_parse(pred)
-    rm = _try_parse(ref)
-    if pm is None or rm is None:
-        return 0
-    return int(canonical_smiles(pm) == canonical_smiles(rm))
+    pc = _canonical(pred)
+    return int(pc is not None and pc == _canonical(ref))
 
 
 def topk_accuracy(
     ranked_preds: list[list[str]], refs: list[str], k: int
 ) -> float:
     """Fraction of samples whose reference exact-matches one of the first
-    k ranked predictions."""
+    k ranked predictions. Each reference is parsed once per sample."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(ranked_preds) != len(refs):
@@ -382,7 +384,8 @@ def topk_accuracy(
         return 0.0
     hits = 0
     for preds, ref in zip(ranked_preds, refs):
-        hits += any(exact_match(p, ref) for p in preds[:k])
+        rc = _canonical(ref)
+        hits += rc is not None and any(_canonical(p) == rc for p in preds[:k])
     return hits / len(refs)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .elements import (
     AROMATIC_ELEMENTS,
@@ -131,22 +133,7 @@ class Molecule:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted atom-index tuples."""
-        seen: set[int] = set()
-        comps = []
-        for start in range(len(self.atoms)):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j, _ in self.neighbors[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return connected_components(self)
 
     @property
     def connected(self) -> bool:
@@ -184,6 +171,29 @@ class Molecule:
 
     def degree(self, idx: int) -> int:
         return len(self.neighbors[idx])
+
+
+def connected_components(
+    m: Molecule, without: set[int] | frozenset[int] = frozenset()
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components of ``m`` with the bonds in ``without`` removed,
+    as sorted atom-index tuples ordered by their lowest atom index."""
+    seen: set[int] = set()
+    comps = []
+    for start in range(len(m.atoms)):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, bi in m.neighbors[i]:
+                if j not in seen and bi not in without:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def _bridges(m: Molecule) -> set[int]:
@@ -499,7 +509,7 @@ def _assemble(
             w.element, w.aromatic, [o for _, o in adj[i]]
         )
 
-    _perceive_aromatic(work, raw_bonds, orders, provisional)
+    _perceive_aromatic(work, raw_bonds, orders, adj, provisional)
 
     atoms = tuple(
         Atom(
@@ -518,7 +528,12 @@ def _assemble(
         Bond(endpoints=(a, b), order=o, stereo_annotation=s)
         for (a, b, _, s), o in zip(raw_bonds, orders)
     )
-    return Molecule(atoms=atoms, bonds=bonds, source_text=text)
+    mol = Molecule(atoms=atoms, bonds=bonds, source_text=text)
+    # Same bonds in the same order: the topology perceived on the
+    # provisional molecule holds for this one too.
+    for name in ("neighbors", "ring_bonds", "small_rings"):
+        mol.__dict__[name] = getattr(provisional, name)
+    return mol
 
 
 def _default_hydrogens(element: str, aromatic: bool, orders: list[str]) -> int:
@@ -588,16 +603,13 @@ def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> i
     return _INELIGIBLE  # saturated carbon
 
 
-def _perceive_aromatic(work, raw_bonds, orders, provisional: Molecule) -> None:
-    """Upgrade Huckel-count rings written in Kekule form to aromatic."""
+def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> None:
+    """Upgrade Huckel-count rings written in Kekule form to aromatic.
+
+    ``adj`` holds each atom's (neighbour, order) pairs under ``orders``."""
     rings = provisional.small_rings
     if not rings:
         return
-    adj: list[list[tuple[int, str]]] = [[] for _ in work]
-    for (a, b, _, _), o in zip(raw_bonds, orders):
-        adj[a].append((b, o))
-        adj[b].append((a, o))
-
     candidates = [r for r in rings if len(r) in (5, 6)]
     # Cluster rings sharing atoms so fused systems are counted together.
     clusters: list[list[tuple[int, ...]]] = []
@@ -730,12 +742,12 @@ def molecular_weight(m: Molecule) -> float:
 _ORDER_RANK = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
-def _initial_invariants(m: Molecule, comp: tuple[int, ...]) -> dict[int, tuple]:
-    inv = {}
+def _initial_invariants(m: Molecule, comp: tuple[int, ...]) -> list[tuple]:
+    inv = []
     for i in comp:
         a = m.atoms[i]
         orders = tuple(sorted(_ORDER_RANK[m.bonds[bi].order] for _, bi in m.neighbors[i]))
-        inv[i] = (
+        inv.append((
             ATOMIC_NUMBERS.get(a.element, 99),
             a.aromatic,
             a.formal_charge,
@@ -745,46 +757,73 @@ def _initial_invariants(m: Molecule, comp: tuple[int, ...]) -> dict[int, tuple]:
             len(m.neighbors[i]),
             orders,
             i in m.ring_atoms,
-        )
+        ))
     return inv
 
 
-def _dense(keys: dict[int, tuple]) -> dict[int, int]:
-    ordered = sorted(set(keys.values()))
-    lookup = {k: r for r, k in enumerate(ordered)}
-    return {i: lookup[k] for i, k in keys.items()}
-
-
-def _refine(m: Molecule, ranks: dict[int, int]) -> dict[int, int]:
-    comp = list(ranks)
-    while True:
-        keys = {}
-        for i in comp:
-            nbr = tuple(sorted(
-                (_ORDER_RANK[m.bonds[bi].order], ranks[j])
-                for j, bi in m.neighbors[i]
-                if j in ranks
-            ))
-            keys[i] = (ranks[i], nbr)
-        new = _dense(keys)
-        if len(set(new.values())) == len(set(ranks.values())):
-            return new
-        ranks = new
+def _split(members: list[int], key) -> list[list[int]]:
+    """``members`` grouped by ``key``, groups in ascending key order."""
+    keyed = sorted((key(i), i) for i in members)
+    return [[i for _, i in part] for _, part in groupby(keyed, itemgetter(0))]
 
 
 def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) -> dict[int, int]:
-    ranks = _refine(m, _dense(_initial_invariants(m, comp)))
-    if not break_ties:
-        return ranks
-    while len(set(ranks.values())) < len(comp):
-        by_rank: dict[int, list[int]] = {}
-        for i, r in ranks.items():
-            by_rank.setdefault(r, []).append(i)
-        tied = min((r for r, members in by_rank.items() if len(members) > 1))
-        promote = min(by_rank[tied])
-        keys = {i: (ranks[i], 0 if i == promote else 1) for i in ranks}
-        ranks = _refine(m, _dense(keys))
-    return ranks
+    """Rank the atoms of one connected component (atom index -> rank).
+
+    Refines an ordered list of cells of tied atoms, held as positions in
+    ``comp``: each round splits a cell by its members' sorted (bond rank,
+    neighbour's cell position) multisets, the parts taking its place in
+    ascending order. Only a cell next to one that split in the round
+    before can split, so only those are re-keyed. ``break_ties`` then
+    moves the lowest atom index of the first tied cell to its front and
+    refines again, until every atom has its own rank.
+    """
+    n = len(comp)
+    local = {a: k for k, a in enumerate(comp)}
+    # (bond rank * n, neighbour); bond rank * n + neighbour rank sorts as
+    # the (bond rank, neighbour rank) pair does.
+    adj = [
+        [(_ORDER_RANK[m.bonds[bi].order] * n, local[j]) for j, bi in m.neighbors[a]]
+        for a in comp
+    ]
+    inv = _initial_invariants(m, comp)
+    cells = _split(list(range(n)), inv.__getitem__)
+    rank = [0] * n
+
+    def neighbour_key(i: int) -> list[int]:
+        return sorted([b + rank[j] for b, j in adj[i]])
+
+    def refine(changed: list[list[int]]) -> None:
+        # changed: the cells that split in the round before.
+        while changed:
+            for r, cell in enumerate(cells):
+                for i in cell:
+                    rank[i] = r
+            dirty = [False] * n
+            for cell in changed:
+                for i in cell:
+                    for _, j in adj[i]:
+                        dirty[j] = True
+            new_cells: list[list[int]] = []
+            changed = []
+            for cell in cells:
+                if len(cell) > 1 and any(dirty[i] for i in cell):
+                    parts = _split(cell, neighbour_key)
+                    if len(parts) > 1:
+                        changed.extend(parts)
+                    new_cells.extend(parts)
+                else:
+                    new_cells.append(cell)
+            cells[:] = new_cells
+
+    refine(list(cells))
+    while break_ties and len(cells) < n:
+        k = next(k for k, cell in enumerate(cells) if len(cell) > 1)
+        promote = min(cells[k], key=comp.__getitem__)
+        parts = [[promote], [i for i in cells[k] if i != promote]]
+        cells[k : k + 1] = parts
+        refine(parts)
+    return {comp[i]: r for r, cell in enumerate(cells) for i in cell}
 
 
 def symmetry_classes(m: Molecule) -> dict[int, int]:

@@ -100,8 +100,12 @@ class Vocab:
         return {t: i for i, t in enumerate(self.tokens)}
 
     @cached_property
-    def max_token_len(self) -> int:
-        return max(len(t) for t in self.tokens)
+    def lengths_by_first(self) -> dict[str, tuple[int, ...]]:
+        """First character -> lengths of the tokens it starts, longest first."""
+        lengths: dict[str, set[int]] = {}
+        for t in filter(None, self.tokens):
+            lengths.setdefault(t[0], set()).add(len(t))
+        return {ch: tuple(sorted(ls, reverse=True)) for ch, ls in lengths.items()}
 
     def class_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -246,15 +250,17 @@ def _encode_component(
             for pos in range(s, e):
                 bracket_of[pos] = ui
 
+    lengths, lookup = v.lengths_by_first, v.lookup
     ids: list[int] = []
     used_group = False
     i = 0
     n = len(text)
     while i < n:
         matched = None
-        for L in range(min(v.max_token_len, n - i), 0, -1):
-            tok = text[i : i + L]
-            idx = v.lookup.get(tok)
+        for L in lengths.get(text[i], ()):
+            if L > n - i:
+                continue
+            idx = lookup.get(text[i : i + L])
             if idx is None:
                 continue
             cls = v.classes[idx]

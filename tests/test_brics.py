@@ -16,7 +16,17 @@ from fragsmith.brics import (
 )
 from fragsmith.molgraph import parse_smiles
 
-from oracles import fragment_cap_reference
+from oracles import brics_bonds_full_scan, fragment_cap_reference
+
+# Alkenes next to amines and carbons, which the fixture corpus has few of.
+_EXTRA_SMILES = ["CC=CCN", "C=CCNC(C)=O", "NCC=C", "CN(C)C=CC", "O=C(C=C)Nc1ccccc1"]
+
+# One table whose single rule 1 pairs with double-bond label 3 and has an
+# unpinned root; one whose double-bond label 1 sits in no single-bond pair.
+_CROSS_KIND_TABLES = [
+    "1\t[#6]\t2,3\tsingle\n2\t[N;!D1]\t1\tsingle\n3\t[C;$(C=C)]\t1\tdouble\n",
+    "1\t[C;$(C=[C,O])]\t2\tdouble\n2\t[#6,#7]\t1,2\tsingle\n",
+]
 
 
 class TestMaxFragments:
@@ -89,6 +99,26 @@ class TestFindBricsBonds:
     def test_environment_pairs(self, smiles, expected_pairs):
         found = find_brics_bonds(parse_smiles(smiles))
         assert [bb.labels for bb in found] == expected_pairs
+
+    def test_equals_full_scan_on_corpus(self, corpus_lines):
+        rules = load_rules()
+        for smi in corpus_lines + _EXTRA_SMILES:
+            m = parse_smiles(smi)
+            found = [(bb.bond_index, bb.labels) for bb in find_brics_bonds(m, rules)]
+            assert found == brics_bonds_full_scan(m, rules), smi
+
+    @pytest.mark.parametrize("table", _CROSS_KIND_TABLES)
+    def test_equals_full_scan_on_cross_kind_tables(self, table, corpus_lines, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text(table)
+        rules = load_rules(str(path))
+        cut = 0
+        for smi in corpus_lines + _EXTRA_SMILES:
+            m = parse_smiles(smi)
+            found = [(bb.bond_index, bb.labels) for bb in find_brics_bonds(m, rules)]
+            assert found == brics_bonds_full_scan(m, rules), smi
+            cut += len(found)
+        assert cut > 0
 
     def test_ring_bonds_never_cleavable(self, corpus_lines):
         for smi in corpus_lines[:30]:

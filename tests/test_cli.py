@@ -82,6 +82,23 @@ class TestBuildCommand:
         assert [s["sha256"] for s in m1["shards"]] == [s["sha256"] for s in m2["shards"]]
         assert m1["config"]["seed"] == 7
 
+    def test_summary_counts_malformed_reaction_rows(self, tmp_path, capsys):
+        lib = tmp_path / "lib.tsv"
+        lib.write_text("# k=3.0\nCC\t30.07\t2\n")
+        reactions = tmp_path / "reactions.tsv"
+        reactions.write_text(
+            "CCO.CC(=O)O\tCC(=O)OCC\testerification\n"
+            "CCN\tCCNC\n"
+            "CN.CC(=O)O\tCC(=O)NC\tamidation\n"
+        )
+        assert main([
+            "build", "--library", str(lib), "--reactions", str(reactions),
+            "--out", str(tmp_path / "d"),
+        ]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["pairs"] == 2
+        assert summary["skipped_malformed"] == 1
+
     def test_missing_library(self, tmp_path, capsys):
         assert main(["build", "--library", str(tmp_path / "no.tsv")]) == EXIT_IO
         assert "error[io]" in capsys.readouterr().err

@@ -176,6 +176,19 @@ class TestFinetunePairs:
         assert records == []
         assert counters.skipped_filtered == 1
 
+    def test_malformed_reaction_rows_counted(self, vocab, tmp_path):
+        path = tmp_path / "reactions.tsv"
+        path.write_text(
+            "CCO.CC(=O)O\tCC(=O)OCC\testerification\n"
+            "CCN\tCCNC\n"
+            "CN.CC(=O)O\tCC(=O)NC\tamidation\n"
+        )
+        counters = PairCounters()
+        records = list(make_finetune_pairs(read_reactions(path, counters), vocab, counters=counters))
+        assert len(records) == 4
+        assert counters.emitted_pairs == 2
+        assert counters.skipped_malformed == 1
+
     def test_bundled_sample_readable(self, vocab):
         triples = list(read_reactions(REACTIONS_PATH))
         assert len(triples) == 100

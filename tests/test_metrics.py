@@ -258,6 +258,21 @@ class TestTopK:
     def test_canonical_equivalence_counts(self):
         assert topk_accuracy([["OCC"]], ["CCO"], 1) == 1.0
 
+    def test_reference_parsed_once_per_sample(self, monkeypatch):
+        import fragsmith.metrics as metrics
+
+        parsed = []
+        real = metrics.parse_smiles
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(metrics, "parse_smiles", counting)
+        preds = [["CC", "CCC", "CCCC", "CCN", "CCCl"]]
+        assert topk_accuracy(preds, ["CCO"], 5) == 0.0
+        assert len(parsed) == 6
+
 
 class TestEvaluate:
     def test_identity_suite(self, corpus_lines):

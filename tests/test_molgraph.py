@@ -3,8 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fragsmith.brics import cut_bonds, find_brics_bonds
 from fragsmith.molgraph import (
+    Atom,
+    Bond,
+    Molecule,
     SmilesError,
+    _component_ranks,
     canonical_smiles,
     molecular_weight,
     parse_smiles,
@@ -12,7 +17,8 @@ from fragsmith.molgraph import (
     validate,
 )
 
-from oracles import graph_isomorphic
+from oracles import component_ranks_reference, graph_isomorphic
+from test_random_graphs import molecule_graphs
 
 
 class TestParse:
@@ -208,3 +214,58 @@ def test_implicit_hydrogens_aromatic():
     thiophene = parse_smiles("c1ccsc1")
     s_idx = next(i for i, a in enumerate(thiophene.atoms) if a.element == "S")
     assert thiophene.atoms[s_idx].h_total == 0
+
+
+def _random_cubic_graph(rng: random.Random, n: int) -> Molecule:
+    """A random connected 3-regular all-CH carbon graph on ``n`` atoms."""
+    while True:
+        stubs = [i for i in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[k : k + 2])) for k in range(0, len(stubs), 2)}
+        if len(edges) < len(stubs) // 2 or any(a == b for a, b in edges):
+            continue
+        mol = Molecule(
+            atoms=tuple(Atom(element="C", implicit_h=1) for _ in range(n)),
+            bonds=tuple(Bond(endpoints=e) for e in sorted(edges)),
+            source_text="",
+        )
+        if mol.connected:
+            return mol
+
+
+def _assert_ranks_equal_reference(m: Molecule) -> None:
+    for comp in m.components:
+        for break_ties in (False, True):
+            assert _component_ranks(m, comp, break_ties=break_ties) == (
+                component_ranks_reference(m, comp, break_ties=break_ties)
+            ), (canonical_smiles(m), break_ties)
+
+
+class TestRankingEqualsReference:
+    def test_corpus_molecules_and_fragments(self, corpus_lines):
+        for smi in corpus_lines:
+            m = parse_smiles(smi)
+            _assert_ranks_equal_reference(m)
+            for frag in cut_bonds(m, find_brics_bonds(m)).fragments:
+                _assert_ranks_equal_reference(frag)
+
+    def test_random_cubic_graphs(self):
+        rng = random.Random(20)
+        for n in (4, 6, 8, 10, 12, 14):
+            for _ in range(25):
+                _assert_ranks_equal_reference(_random_cubic_graph(rng, n))
+
+    @given(molecule_graphs())
+    def test_random_graphs(self, mol):
+        _assert_ranks_equal_reference(mol)
+
+
+def test_parsed_topology_equals_fresh_perception(corpus_lines):
+    extra = ["c1ccccc1-c1ccccc1", "C1CC2CCC1CC2", "[Na+].[Cl-]", "C1=CC=CC=C1",
+             "c1ccc2[nH]ccc2c1", "C12C3C4C1C5C2C3C45", "CC.C1CC1"]
+    for smi in corpus_lines + extra:
+        m = parse_smiles(smi)
+        fresh = Molecule(atoms=m.atoms, bonds=m.bonds, source_text=m.source_text)
+        assert m.neighbors == fresh.neighbors, smi
+        assert m.ring_bonds == fresh.ring_bonds, smi
+        assert m.small_rings == fresh.small_rings, smi

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fragsmith.brics import fragment
-from fragsmith.molgraph import parse_smiles, randomized_smiles
+from fragsmith.brics import cut_bonds, find_brics_bonds, fragment
+from fragsmith.molgraph import canonical_smiles, parse_smiles, randomized_smiles
 from fragsmith.tokenizer import (
     DUMMY_TOKENS,
     FRAGMENT_SET,
@@ -21,6 +21,8 @@ from fragsmith.tokenizer import (
     payload_length,
     tokenize,
 )
+
+from oracles import tokenize_longest_match
 
 
 class TestBuildVocab:
@@ -197,6 +199,42 @@ class TestDetokenize:
         for s in ["CCO.", ".CCO", "C..C"]:
             ts = tokenize(s, vocab, MOLECULE)
             assert detokenize(ts, vocab) == s
+
+
+_BRACKET_HEAVY = [
+    "[13CH3][N+](C)(C)[O-]", "[nH]1cccc1", "C[Se]C", "[2H]C([2H])([2H])O",
+    "[CH2-]C", "[Cu+2].[O-]S(=O)(=O)[O-]", "[12*]c1ccc([3*])cc1",
+    "[NH3+]CC(=O)[O-]", "[Si](C)(C)(C)Cl", "[C@@H](N)(C)C(=O)O", "F/C=C/F",
+    "[11CH4]", "[Fe+3]", "C%10CC%10", "[se]1cccc1", "[o+]1ccccc1",
+    "[N+]#[C-]", "Brc1ccc(Cl)cc1Br", "[*]C", "[16*]N[5*]", "[NH2+]=C([NH2])N",
+    "[O-][n+]1ccccc1", "[Na+].[Cl-]", "C[N+](C)(C)CC(=O)[O-]", "[B-](F)(F)(F)F",
+]
+
+
+class TestLongestMatchOracle:
+    def _check(self, vocab, text, kind):
+        begin, end = ("<BOM>", "<EOM>") if kind == MOLECULE else ("<BOF>", "<EOF>")
+        expected = tokenize_longest_match(
+            text, vocab, vocab.tokens.index(begin), vocab.tokens.index(end)
+        )
+        assert list(tokenize(text, vocab, kind).tokens) == expected, text
+
+    def test_corpus_molecules_and_fragment_payloads(self, vocab, corpus_lines):
+        for smi in corpus_lines:
+            m = parse_smiles(smi)
+            self._check(vocab, smi, MOLECULE)
+            self._check(vocab, canonical_smiles(m), MOLECULE)
+            fs = cut_bonds(m, find_brics_bonds(m))
+            self._check(vocab, ".".join(f.source_text for f in fs.fragments), FRAGMENT_SET)
+
+    def test_randomized_serializations(self, vocab, corpus_lines):
+        for smi in corpus_lines[:200]:
+            self._check(vocab, randomized_smiles(parse_smiles(smi), 5), MOLECULE)
+
+    @pytest.mark.parametrize("text", _BRACKET_HEAVY)
+    def test_bracket_heavy(self, vocab, text):
+        self._check(vocab, text, MOLECULE)
+        self._check(vocab, text, FRAGMENT_SET)
 
 
 class TestCompression:
