@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .molgraph import (
@@ -274,7 +274,7 @@ def cut_bonds(
     parent = canonical_smiles(m)
     if not chosen:
         return FragmentSet(
-            fragments=(replace(m, source_text=parent),),
+            fragments=(Molecule(atoms=m.atoms, bonds=m.bonds, source_text=parent),),
             parent_canonical=parent,
             cleaved=(),
             provenance=(),
@@ -319,11 +319,10 @@ def cut_bonds(
         provenance.append((sites[0], sites[1]))
 
     fragments = []
-    for c in range(len(comps)):
-        frag = Molecule(
-            atoms=tuple(frag_atoms[c]), bonds=tuple(frag_bonds[c]), source_text=""
-        )
-        fragments.append(replace(frag, source_text=canonical_smiles(frag)))
+    for atom_list, bond_list in zip(frag_atoms, frag_bonds):
+        atoms, bonds = tuple(atom_list), tuple(bond_list)
+        frag = Molecule(atoms=atoms, bonds=bonds, source_text="")
+        fragments.append(Molecule(atoms=atoms, bonds=bonds, source_text=canonical_smiles(frag)))
 
     return FragmentSet(
         fragments=tuple(fragments),

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .brics import FragmentParams, fragment, max_fragments
+from .brics import FragmentationError, FragmentParams, fragment, max_fragments
 from .config import ConfigError, PipelineConfig, resolve_config
 from .dataset import (
     LibraryFormatError,
@@ -96,12 +96,19 @@ def _cmd_fragment(args, cfg: PipelineConfig) -> int:
     k = cfg.k or DEFAULT_K
     params = FragmentParams(k=k, alpha=cfg.alpha, seed=cfg.seed)
     if args.file:
-        for line in _read_lines(args.file):
+        # A bad line is reported with its location; the rest still run.
+        failed = False
+        for lineno, line in enumerate(_read_lines(args.file), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            _fragment_one(line, params)
-    elif args.smiles:
+            try:
+                _fragment_one(line, params)
+            except (SmilesError, FragmentationError) as exc:
+                _fail("input", f"{args.file}:{lineno}: {exc}")
+                failed = True
+        return EXIT_ERROR if failed else EXIT_OK
+    if args.smiles:
         _fragment_one(args.smiles, params)
     else:
         _fail("usage", "fragment needs a SMILES argument or --file")
@@ -336,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         _fail("io", str(exc))
         return EXIT_IO
-    except SmilesError as exc:
+    except (SmilesError, FragmentationError) as exc:
         _fail("input", str(exc))
         return EXIT_ERROR
     except (ValueError, OSError) as exc:

@@ -116,7 +116,7 @@ class Molecule:
             a, b = bond.endpoints
             adj[a].append((b, bi))
             adj[b].append((a, bi))
-        return tuple(tuple(n) for n in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def ring_bonds(self) -> frozenset[int]:
@@ -147,18 +147,40 @@ class Molecule:
     @cached_property
     def small_rings(self) -> tuple[tuple[int, ...], ...]:
         """One shortest cycle of at most 8 atoms through every ring bond
-        (a compact cycle set)."""
+        (a compact cycle set).
+
+        Each bond's cycle is the breadth-first path between its ends
+        without it. The search follows ring bonds only, since a bridge
+        never leads back to the ring, and stops after the level on which
+        the far end is discovered, since a node's predecessor is fixed
+        when it is discovered."""
+        ring_bonds = self.ring_bonds
+        ring_adj = [[nb for nb in nbrs if nb[1] in ring_bonds] for nbrs in self.neighbors]
         rings: list[tuple[int, ...]] = []
         seen: set[frozenset[int]] = set()
-        for bi in sorted(self.ring_bonds):
-            a, b = self.bonds[bi].endpoints
-            path = _shortest_path(self, a, b, skip_bond=bi, limit=7)
-            if path is None:
+        for bi in sorted(ring_bonds):
+            src, dst = self.bonds[bi].endpoints
+            prev = {src: -1}
+            frontier = [src]
+            for _ in range(7):  # paths of up to 7 bonds
+                nxt = []
+                for node in frontier:
+                    for j, bj in ring_adj[node]:
+                        if bj != bi and j not in prev:
+                            prev[j] = node
+                            nxt.append(j)
+                frontier = nxt
+                if dst in prev or not frontier:
+                    break
+            if dst not in prev:
                 continue
+            path = [dst]
+            while prev[path[-1]] != -1:
+                path.append(prev[path[-1]])
             key = frozenset(path)
             if key not in seen:
                 seen.add(key)
-                rings.append(tuple(path))
+                rings.append(tuple(reversed(path)))
         return tuple(rings)
 
     @cached_property
@@ -198,7 +220,8 @@ def connected_components(
 
 def _bridges(m: Molecule) -> set[int]:
     """Bond indices whose removal disconnects the graph (iterative DFS)."""
-    n = len(m.atoms)
+    nbrs = m.neighbors
+    n = len(nbrs)
     disc = [-1] * n
     low = [0] * n
     bridges: set[int] = set()
@@ -206,26 +229,27 @@ def _bridges(m: Molecule) -> set[int]:
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(nbrs[root]))]
         while stack:
-            node, parent_bond, ni = stack[-1]
-            if ni == 0:
-                disc[node] = low[node] = timer
-                timer += 1
-            if ni < len(m.neighbors[node]):
-                stack[-1] = (node, parent_bond, ni + 1)
-                nbr, bi = m.neighbors[node][ni]
+            node, parent_bond, rest = stack[-1]
+            for nbr, bi in rest:
                 if bi == parent_bond:
                     continue
                 if disc[nbr] == -1:
-                    stack.append((nbr, bi, 0))
-                else:
-                    low[node] = min(low[node], disc[nbr])
+                    disc[nbr] = low[nbr] = timer
+                    timer += 1
+                    stack.append((nbr, bi, iter(nbrs[nbr])))
+                    break
+                if disc[nbr] < low[node]:
+                    low[node] = disc[nbr]
             else:
                 stack.pop()
                 if stack:
                     pnode = stack[-1][0]
-                    low[pnode] = min(low[pnode], low[node])
+                    if low[node] < low[pnode]:
+                        low[pnode] = low[node]
                     if low[node] > disc[pnode]:
                         bridges.add(parent_bond)
     return bridges
@@ -544,9 +568,9 @@ def _default_hydrogens(element: str, aromatic: bool, orders: list[str]) -> int:
     if aromatic:
         # One sigma slot per bond plus one electron committed to the ring
         # pi system; lowest valence only (thiophene S gets no hydrogen).
-        sigma = sum(_SIGMA_VALUE[o] for o in orders)
+        sigma = sum(map(_SIGMA_VALUE.__getitem__, orders))
         return max(0, valences[0] - (sigma + 1))
-    total = sum(_ORDER_VALUE[o] for o in orders)
+    total = sum(map(_ORDER_VALUE.__getitem__, orders))
     total = int(total) if total == int(total) else int(total) + 1
     for v in valences:
         if v >= total:
@@ -665,29 +689,6 @@ def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> N
             orders[bi] = SINGLE
 
 
-def _shortest_path(m: Molecule, src: int, dst: int, skip_bond: int, limit: int):
-    from collections import deque
-
-    prev = {src: -1}
-    dq = deque([(src, 0)])
-    while dq:
-        node, dist = dq.popleft()
-        if node == dst:
-            path = [node]
-            while prev[node] != -1:
-                node = prev[node]
-                path.append(node)
-            return path[::-1]
-        if dist >= limit:
-            continue
-        for nbr, bi in m.neighbors[node]:
-            if bi == skip_bond or nbr in prev:
-                continue
-            prev[nbr] = node
-            dq.append((nbr, dist + 1))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Validation and measurement
 # ---------------------------------------------------------------------------
@@ -742,88 +743,82 @@ def molecular_weight(m: Molecule) -> float:
 _ORDER_RANK = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
-def _initial_invariants(m: Molecule, comp: tuple[int, ...]) -> list[tuple]:
-    inv = []
-    for i in comp:
-        a = m.atoms[i]
-        orders = tuple(sorted(_ORDER_RANK[m.bonds[bi].order] for _, bi in m.neighbors[i]))
-        inv.append((
-            ATOMIC_NUMBERS.get(a.element, 99),
-            a.aromatic,
-            a.formal_charge,
-            a.isotope or 0,
-            a.link_label or 0,
-            a.h_total,
-            len(m.neighbors[i]),
-            orders,
-            i in m.ring_atoms,
-        ))
-    return inv
-
-
-def _split(members: list[int], key) -> list[list[int]]:
-    """``members`` grouped by ``key``, groups in ascending key order."""
-    keyed = sorted((key(i), i) for i in members)
-    return [[i for _, i in part] for _, part in groupby(keyed, itemgetter(0))]
-
-
 def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) -> dict[int, int]:
     """Rank the atoms of one connected component (atom index -> rank).
 
-    Refines an ordered list of cells of tied atoms, held as positions in
-    ``comp``: each round splits a cell by its members' sorted (bond rank,
-    neighbour's cell position) multisets, the parts taking its place in
-    ascending order. Only a cell next to one that split in the round
-    before can split, so only those are re-keyed. ``break_ties`` then
-    moves the lowest atom index of the first tied cell to its front and
-    refines again, until every atom has its own rank.
+    Atoms are first split by their invariants (atomic number, aromatic,
+    charge, isotope, link label, hydrogens, degree, sorted bond ranks, in
+    a ring) into ordered cells of positions in ``comp``; an atom's rank is
+    the position its cell starts at. Unless that partition is already
+    discrete, each round then splits every cell next to one that split in
+    the round before (no other cell can split) by its members' sorted
+    (bond rank, neighbour rank) multisets, the parts taking its place in
+    ascending order. ``break_ties`` then moves the lowest atom index of
+    the first tied cell to its front and refines again, until every atom
+    has its own rank. The result numbers the cells densely.
     """
     n = len(comp)
-    local = {a: k for k, a in enumerate(comp)}
+    atoms, nbrs, ring_atoms = m.atoms, m.neighbors, m.ring_atoms
+    # A component holding every atom is (0, ..., n - 1): range(n) maps it.
+    local = range(n) if n == len(atoms) else {a: k for k, a in enumerate(comp)}
+    bond_rank = [_ORDER_RANK[b.order] for b in m.bonds]
     # (bond rank * n, neighbour); bond rank * n + neighbour rank sorts as
     # the (bond rank, neighbour rank) pair does.
-    adj = [
-        [(_ORDER_RANK[m.bonds[bi].order] * n, local[j]) for j, bi in m.neighbors[a]]
-        for a in comp
-    ]
-    inv = _initial_invariants(m, comp)
-    cells = _split(list(range(n)), inv.__getitem__)
+    adj = [[(bond_rank[bi] * n, local[j]) for j, bi in nbrs[i]] for i in comp]
+    keyed = []
+    for k, i in enumerate(comp):
+        a = atoms[i]
+        orders = tuple(sorted([bond_rank[bi] for _, bi in nbrs[i]]))
+        keyed.append(((
+            ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge,
+            a.isotope or 0, a.link_label or 0, a.explicit_h + a.implicit_h,
+            len(orders), orders, i in ring_atoms,
+        ), k))
+    keyed.sort()
+    cells: dict[int, list[int]] = {}  # start position -> members
     rank = [0] * n
-
-    def neighbour_key(i: int) -> list[int]:
-        return sorted([b + rank[j] for b, j in adj[i]])
-
-    def refine(changed: list[list[int]]) -> None:
-        # changed: the cells that split in the round before.
+    prev = None
+    for pos, (key, k) in enumerate(keyed):
+        if key != prev:
+            start, prev = pos, key
+            cells[start] = []
+        cells[start].append(k)
+        rank[k] = start
+    changed = list(cells.values()) if len(cells) < n else []  # split last round
+    while True:
         while changed:
-            for r, cell in enumerate(cells):
-                for i in cell:
-                    rank[i] = r
-            dirty = [False] * n
-            for cell in changed:
-                for i in cell:
-                    for _, j in adj[i]:
-                        dirty[j] = True
-            new_cells: list[list[int]] = []
+            touched = {rank[j] for cell in changed for k in cell for _, j in adj[k]}
             changed = []
-            for cell in cells:
-                if len(cell) > 1 and any(dirty[i] for i in cell):
-                    parts = _split(cell, neighbour_key)
-                    if len(parts) > 1:
-                        changed.extend(parts)
-                    new_cells.extend(parts)
-                else:
-                    new_cells.append(cell)
-            cells[:] = new_cells
-
-    refine(list(cells))
-    while break_ties and len(cells) < n:
-        k = next(k for k, cell in enumerate(cells) if len(cell) > 1)
-        promote = min(cells[k], key=comp.__getitem__)
-        parts = [[promote], [i for i in cells[k] if i != promote]]
-        cells[k : k + 1] = parts
-        refine(parts)
-    return {comp[i]: r for r, cell in enumerate(cells) for i in cell}
+            moved = []
+            for start in touched:
+                cell = cells[start]
+                if len(cell) == 1:
+                    continue
+                keyed = sorted([(sorted([b + rank[j] for b, j in adj[k]]), k) for k in cell])
+                prev = keyed[0][0]
+                if keyed[-1][0] == prev:
+                    continue  # no split
+                part: list[int] = []
+                for key, k in keyed:
+                    if key != prev:
+                        cells[start] = part
+                        moved.append((start, part))
+                        start, prev, part = start + len(part), key, []
+                    part.append(k)
+                cells[start] = part
+                moved.append((start, part))
+            for start, part in moved:
+                changed.append(part)
+                for k in part:
+                    rank[k] = start
+        if not break_ties or len(cells) == n:
+            return {comp[k]: r for r, start in enumerate(sorted(cells)) for k in cells[start]}
+        start = min(s for s, cell in cells.items() if len(cell) > 1)
+        promote = min(cells[start], key=comp.__getitem__)
+        changed = [[promote], [k for k in cells[start] if k != promote]]
+        cells[start], cells[start + 1] = changed
+        for k in changed[1]:
+            rank[k] = start + 1
 
 
 def symmetry_classes(m: Molecule) -> dict[int, int]:
@@ -844,20 +839,19 @@ def symmetry_classes(m: Molecule) -> dict[int, int]:
 
 def _atom_token(m: Molecule, i: int) -> str:
     a = m.atoms[i]
-    if a.is_dummy:
+    el = a.element
+    if el == DUMMY:
         return f"[{a.link_label}*]" if a.link_label else DUMMY
-    sym = a.element.lower() if a.aromatic else a.element
-    orders = [m.bonds[bi].order for _, bi in m.neighbors[i]]
-    plain_ok = (
+    sym = el.lower() if a.aromatic else el
+    h = a.explicit_h + a.implicit_h
+    if (
         a.isotope is None
         and a.formal_charge == 0
-        and a.element in ORGANIC_SUBSET
+        and el in ORGANIC_SUBSET
         and (not a.aromatic or sym in AROMATIC_ORGANIC)
-        and a.h_total == _default_hydrogens(a.element, a.aromatic, orders)
-    )
-    if plain_ok:
+        and h == _default_hydrogens(el, a.aromatic, [m.bonds[bi].order for _, bi in m.neighbors[i]])
+    ):
         return sym
-    h = a.h_total
     hstr = "" if h == 0 else ("H" if h == 1 else f"H{h}")
     c = a.formal_charge
     if c == 0:
@@ -885,71 +879,46 @@ def _bond_token(m: Molecule, bi: int) -> str:
     return _BOND_SYMBOLS[bond.order]
 
 
-def _write_component(m: Molecule, comp: tuple[int, ...], order_key) -> str:
+def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) -> str:
+    """Write one connected component in a single depth-first pass.
+
+    ``order`` gives every atom of ``comp`` a distinct sort key. Each atom
+    is written when it is popped from the stack, and its neighbours are
+    sorted once by key. An unvisited neighbour becomes a child, marked
+    visited at once; any other neighbour, except the one reached through
+    the parent bond, is a ring closure, and its digit is opened (the
+    lowest free one) or closed right after the atom. Children are pushed
+    so the lowest-keyed one is written first; every child but the last
+    opens a branch, and each leaf closes the innermost open branch.
+    """
+    nbrs = m.neighbors
     # Rooting at a low-degree atom keeps the output chain-like; degree is a
     # graph invariant, so canonical determinism is unaffected.
-    root = min(comp, key=lambda i: (m.degree(i), order_key(i)))
-    successors: dict[int, list[int]] = {}
-    tree_bonds: set[int] = set()
-    visited = {root}
-    stack = [root]
-    parent_bond: dict[int, int] = {}
-    while stack:
-        node = stack.pop()
-        kids = []
-        for j, bi in sorted(
-            m.neighbors[node], key=lambda nb: order_key(nb[0])
-        ):
-            if j not in visited:
-                visited.add(j)
-                kids.append(j)
-                parent_bond[j] = bi
-                tree_bonds.add(bi)
-        # Reverse so the lowest-ranked child is emitted first.
-        for j in reversed(kids):
-            stack.append(j)
-        if kids:
-            successors[node] = kids
-
-    comp_set = set(comp)
-    ring_bond_ids = [
-        bi
-        for bi in range(len(m.bonds))
-        if bi not in tree_bonds
-        and m.bonds[bi].endpoints[0] in comp_set
-        and m.bonds[bi].endpoints[1] in comp_set
-    ]
-    # Ring-closure digits are assigned in emission order at each atom.
-    atom_ring_bonds: dict[int, list[int]] = {}
-    for bi in ring_bond_ids:
-        a, b = m.bonds[bi].endpoints
-        atom_ring_bonds.setdefault(a, []).append(bi)
-        atom_ring_bonds.setdefault(b, []).append(bi)
-    for i in atom_ring_bonds:
-        atom_ring_bonds[i].sort(key=lambda bi: order_key(m.bonds[bi].other(i)))
-
-    out: list[str] = []
+    root = min(comp, key=lambda i: (len(nbrs[i]), order[i]))
+    parent_bond = {root: -1}  # the visited atoms; the root has no parent bond
+    branch_set: set[int] = set()
     open_digits: dict[int, int] = {}  # bond index -> digit
     used_digits: set[int] = set()
     branch_open = 0
-    to_visit: list[int] = [root]
-    branch_set: set[int] = set()
-    pred: dict[int, int] = {}
-    for node, kids in successors.items():
-        for j in kids:
-            pred[j] = node
-
-    while to_visit:
-        cur = to_visit.pop()
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        cur = stack.pop()
         if cur in branch_set:
             out.append("(")
             branch_open += 1
-            branch_set.discard(cur)
-        if cur in pred:
-            out.append(_bond_token(m, parent_bond[cur]))
+        pb = parent_bond[cur]
+        if pb >= 0:
+            out.append(_bond_token(m, pb))
         out.append(_atom_token(m, cur))
-        for bi in atom_ring_bonds.get(cur, ()):
-            if bi in open_digits:
+        kids = []
+        for _, j, bi in sorted([(order[j], j, bi) for j, bi in nbrs[cur]]):
+            if j not in parent_bond:
+                parent_bond[j] = bi
+                kids.append(j)
+            elif bi == pb:
+                continue
+            elif bi in open_digits:
                 digit = open_digits.pop(bi)
                 used_digits.discard(digit)
                 out.append(str(digit) if digit < 10 else f"%{digit:02d}")
@@ -963,11 +932,9 @@ def _write_component(m: Molecule, comp: tuple[int, ...], order_key) -> str:
                 open_digits[bi] = digit
                 out.append(_bond_token(m, bi))
                 out.append(str(digit) if digit < 10 else f"%{digit:02d}")
-        kids = successors.get(cur)
         if kids:
             branch_set.update(kids[:-1])
-            for j in reversed(kids):
-                to_visit.append(j)
+            stack += reversed(kids)
         elif branch_open:
             out.append(")")
             branch_open -= 1
@@ -977,18 +944,22 @@ def _write_component(m: Molecule, comp: tuple[int, ...], order_key) -> str:
 
 def write_smiles(m: Molecule, *, rng: random.Random | None = None) -> str:
     """Serialize a Molecule. Canonical when ``rng`` is None, otherwise a
-    randomized but equivalent serialization (atom visit order shuffled)."""
+    randomized but equivalent serialization (atom visit order shuffled).
+
+    Each connected component is written in one depth-first pass (see
+    :func:`_write_component`), visiting neighbours in canonical rank
+    order or, with ``rng``, in a shuffled order; canonical components
+    are joined in sorted order, randomized ones in shuffled order.
+    """
     parts = []
     for comp in m.components:
         if rng is None:
-            ranks = _component_ranks(m, comp, break_ties=True)
-            order_key = ranks.__getitem__
+            order = _component_ranks(m, comp, break_ties=True)
         else:
             shuffled = list(comp)
             rng.shuffle(shuffled)
-            perm = {atom: pos for pos, atom in enumerate(shuffled)}
-            order_key = perm.__getitem__
-        parts.append(_write_component(m, comp, order_key))
+            order = {atom: pos for pos, atom in enumerate(shuffled)}
+        parts.append(_write_component(m, comp, order))
     if rng is None:
         parts.sort()
     else:

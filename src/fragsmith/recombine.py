@@ -13,9 +13,7 @@ Two modes are exposed:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .brics import FragmentSet, load_rules
+from .brics import BricsRule, FragmentSet, load_rules
 from .molgraph import (
     SINGLE,
     Atom,
@@ -35,11 +33,14 @@ class AmbiguousRejoinError(ValueError):
     provenance disambiguates them."""
 
 
-def _merge(fragments: tuple[Molecule, ...]) -> tuple[list[Atom], list[Bond], dict]:
-    """Concatenate fragment graphs; returns atoms, bonds and the index
-    mapping (frag_idx, local_idx) -> merged index."""
+def _merge(
+    fragments: tuple[Molecule, ...],
+) -> tuple[list[Atom], list[tuple[int, int, Bond]], dict]:
+    """Concatenate fragment graphs; returns the atoms, each bond as (merged
+    endpoint, merged endpoint, fragment bond), and the index mapping
+    (frag_idx, local_idx) -> merged index."""
     atoms: list[Atom] = []
-    bonds: list[Bond] = []
+    bonds: list[tuple[int, int, Bond]] = []
     offset: dict = {}
     for fi, frag in enumerate(fragments):
         base = len(atoms)
@@ -48,15 +49,14 @@ def _merge(fragments: tuple[Molecule, ...]) -> tuple[list[Atom], list[Bond], dic
         atoms.extend(frag.atoms)
         for bond in frag.bonds:
             a, b = bond.endpoints
-            bonds.append(replace(bond, endpoints=(base + a, base + b)))
+            bonds.append((base + a, base + b, bond))
     return atoms, bonds, offset
 
 
-def _splice(atoms: list[Atom], bonds: list[Bond], dummy_pairs) -> Molecule:
+def _splice(atoms: list[Atom], bonds: list[tuple[int, int, Bond]], dummy_pairs) -> Molecule:
     """Drop paired dummies, bond their heavy neighbors, compact indices."""
     adjacency: dict[int, list[tuple[int, int]]] = {}
-    for bi, bond in enumerate(bonds):
-        a, b = bond.endpoints
+    for bi, (a, b, _) in enumerate(bonds):
         adjacency.setdefault(a, []).append((b, bi))
         adjacency.setdefault(b, []).append((a, bi))
 
@@ -84,22 +84,22 @@ def _splice(atoms: list[Atom], bonds: list[Bond], dummy_pairs) -> Molecule:
         remap[i] = len(kept_atoms)
         kept_atoms.append(atom)
     kept_bonds = [
-        replace(b, endpoints=(remap[b.endpoints[0]], remap[b.endpoints[1]]))
-        for bi, b in enumerate(bonds)
+        Bond((remap[a], remap[b]), bond.order, bond.stereo_annotation)
+        for bi, (a, b, bond) in enumerate(bonds)
         if bi not in drop_bonds
     ]
-    kept_bonds.extend(
-        Bond(endpoints=(remap[a], remap[b]), order=SINGLE) for a, b in new_bonds
-    )
-    merged = Molecule(atoms=tuple(kept_atoms), bonds=tuple(kept_bonds), source_text="")
-    return replace(merged, source_text=canonical_smiles(merged))
+    kept_bonds.extend(Bond((remap[a], remap[b]), SINGLE) for a, b in new_bonds)
+    atoms_t, bonds_t = tuple(kept_atoms), tuple(kept_bonds)
+    merged = Molecule(atoms=atoms_t, bonds=bonds_t, source_text="")
+    return Molecule(atoms=atoms_t, bonds=bonds_t, source_text=canonical_smiles(merged))
 
 
-def rejoin(fs: FragmentSet) -> Molecule:
+def rejoin(fs: FragmentSet, rules: tuple[BricsRule, ...] | None = None) -> Molecule:
     """Reconnect a fragment set into its parent molecule.
 
     With provenance the recorded dummy pairs are spliced directly.
-    Without it, pairing falls back to :func:`pair_by_labels`.
+    Without it, pairing falls back to :func:`pair_by_labels` under
+    ``rules`` (default: the shipped rule table).
     """
     if len(fs.fragments) == 1 and not fs.cleaved:
         return fs.fragments[0]
@@ -109,23 +109,25 @@ def rejoin(fs: FragmentSet) -> Molecule:
     else:
         pairs = [
             (offset[site_a], offset[site_b])
-            for site_a, site_b in pair_by_labels(fs.fragments)
+            for site_a, site_b in pair_by_labels(fs.fragments, rules)
         ]
     return _splice(atoms, bonds, pairs)
 
 
 def pair_by_labels(
     fragments: tuple[Molecule, ...],
+    rules: tuple[BricsRule, ...] | None = None,
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Pair complementary dummy atoms across fragments by link labels.
 
-    Candidates are permitted (label, partner) pairs from the rule table.
+    Candidates are permitted (label, partner) pairs from ``rules``, the
+    table the fragments were cut under (default: the shipped one).
     Pairing is greedy over dummies in fragment order; when one dummy has
     several compatible counterparts that are not symmetry-equivalent, an
     AmbiguousRejoinError is raised. Leftover or impossible labels raise
     UnpairedLabelError.
     """
-    rules = {r.label: r for r in load_rules()}
+    by_label = {r.label: r for r in (load_rules() if rules is None else rules)}
     dummies: list[tuple[int, int, int]] = []  # (frag, atom, label)
     for fi, frag in enumerate(fragments):
         for ai, atom in enumerate(frag.atoms):
@@ -147,8 +149,8 @@ def pair_by_labels(
         canon[fi] = canonical_smiles(frag)
 
     def compatible(la: int, lb: int) -> bool:
-        pa = rules[la].partners if la in rules else ()
-        pb = rules[lb].partners if lb in rules else ()
+        pa = by_label[la].partners if la in by_label else ()
+        pb = by_label[lb].partners if lb in by_label else ()
         return lb in pa or la in pb
 
     # Most-constrained-first: repeatedly resolve a dummy whose compatible
@@ -205,5 +207,7 @@ def carbon_cap(f: Molecule) -> Molecule:
         new_atoms.append(
             Atom(element="C", implicit_h=max(0, 4 - bond_sum))
         )
-    capped = Molecule(atoms=tuple(new_atoms), bonds=f.bonds, source_text="")
-    return replace(capped, source_text=canonical_smiles(capped))
+    atoms = tuple(new_atoms)
+    capped = Molecule(atoms=atoms, bonds=f.bonds, source_text="")
+    capped.__dict__["neighbors"] = f.neighbors  # same bonds, same adjacency
+    return Molecule(atoms=atoms, bonds=f.bonds, source_text=canonical_smiles(capped))

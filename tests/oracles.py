@@ -4,9 +4,11 @@ These deliberately share no code with the implementations under test:
 plain backtracking isomorphism, full-matrix edit distance, a separate
 BLEU transcription, a straight-line version of the fragment-cap
 formula, a BRICS labelling that scans every atom with every rule, the
-first dict-based canonical ranking, and an all-lengths longest-match
-tokenizer. The BRICS scan reuses the pattern matcher: what it checks is
-which atoms and rules get tried, not how one match is made.
+first dict-based canonical ranking, the two-pass canonical writer, the
+per-bond small-ring search, and an all-lengths longest-match tokenizer.
+The BRICS scan reuses the pattern matcher: what it checks is which atoms
+and rules get tried, not how one match is made. The writer reuses the
+parser's implicit-hydrogen rule to decide when an atom needs brackets.
 """
 
 from __future__ import annotations
@@ -273,3 +275,202 @@ def tokenize_longest_match(text, vocab, begin, end):
                 ids = base
         out += [begin, *ids, end]
     return out
+
+
+# The small-ring perception as first written: one breadth-first search
+# per ring bond over every neighbour, kept to pin the current one to it.
+def small_rings_reference(m):
+    rings = []
+    seen = set()
+    for bi in sorted(m.ring_bonds):
+        a, b = m.bonds[bi].endpoints
+        path = _shortest_path(m, a, b, skip_bond=bi, limit=7)
+        if path is None:
+            continue
+        key = frozenset(path)
+        if key not in seen:
+            seen.add(key)
+            rings.append(tuple(path))
+    return tuple(rings)
+
+
+def _shortest_path(m, src, dst, skip_bond, limit):
+    from collections import deque
+
+    prev = {src: -1}
+    dq = deque([(src, 0)])
+    while dq:
+        node, dist = dq.popleft()
+        if node == dst:
+            path = [node]
+            while prev[node] != -1:
+                node = prev[node]
+                path.append(node)
+            return path[::-1]
+        if dist >= limit:
+            continue
+        for nbr, bi in m.neighbors[node]:
+            if bi == skip_bond or nbr in prev:
+                continue
+            prev[nbr] = node
+            dq.append((nbr, dist + 1))
+    return None
+
+
+# The canonical writer as first written: a DFS tree, a scan of every bond
+# for ring closures, then a second walk that emits the text. It ranks
+# with component_ranks_reference, the ranking the package's is pinned to.
+def _atom_token(m, i):
+    from fragsmith.elements import AROMATIC_ORGANIC, DUMMY, ORGANIC_SUBSET
+    from fragsmith.molgraph import _default_hydrogens
+
+    a = m.atoms[i]
+    if a.is_dummy:
+        return f"[{a.link_label}*]" if a.link_label else DUMMY
+    sym = a.element.lower() if a.aromatic else a.element
+    orders = [m.bonds[bi].order for _, bi in m.neighbors[i]]
+    plain_ok = (
+        a.isotope is None
+        and a.formal_charge == 0
+        and a.element in ORGANIC_SUBSET
+        and (not a.aromatic or sym in AROMATIC_ORGANIC)
+        and a.h_total == _default_hydrogens(a.element, a.aromatic, orders)
+    )
+    if plain_ok:
+        return sym
+    h = a.h_total
+    hstr = "" if h == 0 else ("H" if h == 1 else f"H{h}")
+    c = a.formal_charge
+    if c == 0:
+        cstr = ""
+    elif c == 1:
+        cstr = "+"
+    elif c == -1:
+        cstr = "-"
+    else:
+        cstr = f"{'+' if c > 0 else '-'}{abs(c)}"
+    iso = "" if a.isotope is None else str(a.isotope)
+    return f"[{iso}{sym}{hstr}{cstr}]"
+
+
+_BOND_SYMBOLS = {"single": "-", "double": "=", "triple": "#", "aromatic": ":"}
+
+
+def _bond_token(m, bi):
+    bond = m.bonds[bi]
+    a, b = bond.endpoints
+    if bond.order == "single":
+        both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
+        if both_aromatic and bi in m.ring_bonds:
+            return "-"
+        return ""
+    if bond.order == "aromatic":
+        return ""
+    return _BOND_SYMBOLS[bond.order]
+
+
+def _write_component(m, comp, order_key):
+    root = min(comp, key=lambda i: (m.degree(i), order_key(i)))
+    successors = {}
+    tree_bonds = set()
+    visited = {root}
+    stack = [root]
+    parent_bond = {}
+    while stack:
+        node = stack.pop()
+        kids = []
+        for j, bi in sorted(
+            m.neighbors[node], key=lambda nb: order_key(nb[0])
+        ):
+            if j not in visited:
+                visited.add(j)
+                kids.append(j)
+                parent_bond[j] = bi
+                tree_bonds.add(bi)
+        for j in reversed(kids):
+            stack.append(j)
+        if kids:
+            successors[node] = kids
+
+    comp_set = set(comp)
+    ring_bond_ids = [
+        bi
+        for bi in range(len(m.bonds))
+        if bi not in tree_bonds
+        and m.bonds[bi].endpoints[0] in comp_set
+        and m.bonds[bi].endpoints[1] in comp_set
+    ]
+    atom_ring_bonds = {}
+    for bi in ring_bond_ids:
+        a, b = m.bonds[bi].endpoints
+        atom_ring_bonds.setdefault(a, []).append(bi)
+        atom_ring_bonds.setdefault(b, []).append(bi)
+    for i in atom_ring_bonds:
+        atom_ring_bonds[i].sort(key=lambda bi: order_key(m.bonds[bi].other(i)))
+
+    out = []
+    open_digits = {}
+    used_digits = set()
+    branch_open = 0
+    to_visit = [root]
+    branch_set = set()
+    pred = {}
+    for node, kids in successors.items():
+        for j in kids:
+            pred[j] = node
+
+    while to_visit:
+        cur = to_visit.pop()
+        if cur in branch_set:
+            out.append("(")
+            branch_open += 1
+            branch_set.discard(cur)
+        if cur in pred:
+            out.append(_bond_token(m, parent_bond[cur]))
+        out.append(_atom_token(m, cur))
+        for bi in atom_ring_bonds.get(cur, ()):
+            if bi in open_digits:
+                digit = open_digits.pop(bi)
+                used_digits.discard(digit)
+                out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+            else:
+                digit = 1
+                while digit in used_digits:
+                    digit += 1
+                if digit > 99:
+                    raise ValueError("too many simultaneous ring closures")
+                used_digits.add(digit)
+                open_digits[bi] = digit
+                out.append(_bond_token(m, bi))
+                out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+        kids = successors.get(cur)
+        if kids:
+            branch_set.update(kids[:-1])
+            for j in reversed(kids):
+                to_visit.append(j)
+        elif branch_open:
+            out.append(")")
+            branch_open -= 1
+    out.append(")" * branch_open)
+    return "".join(out)
+
+
+def write_smiles_reference(m, rng=None):
+    """Canonical SMILES of ``m`` when ``rng`` is None, otherwise the
+    randomized serialization that draws from ``rng`` as the package does."""
+    parts = []
+    for comp in m.components:
+        if rng is None:
+            ranks = component_ranks_reference(m, comp, break_ties=True)
+            order_key = ranks.__getitem__
+        else:
+            shuffled = list(comp)
+            rng.shuffle(shuffled)
+            perm = {atom: pos for pos, atom in enumerate(shuffled)}
+            order_key = perm.__getitem__
+        parts.append(_write_component(m, comp, order_key))
+    if rng is None:
+        parts.sort()
+    else:
+        rng.shuffle(parts)
+    return ".".join(parts)

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from fragsmith.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fragsmith.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
-from conftest import CORPUS_PATH, REACTIONS_PATH
+from conftest import CORPUS_PATH, REACTIONS_PATH, ROOT
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +46,27 @@ class TestFragmentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[")
 
+    def test_unfragmentable_smiles_is_an_input_error(self, capsys):
+        assert main(["fragment", "CC(C)(C)(C)C"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[input]: invalid molecule")
+
     def test_file_mode(self, capsys, tmp_path):
         path = tmp_path / "mols.smi"
         path.write_text("CCO\nOCCCN1CCOCC1\n")
         assert main(["fragment", "--file", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("cap=") == 2
+
+    def test_file_mode_reports_each_bad_line(self, capsys, tmp_path):
+        path = tmp_path / "mols.smi"
+        path.write_text("CCO\nC1CC\nCC(C)(C)(C)C\nOCCCN1CCOCC1\n")
+        assert main(["fragment", "--file", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out.count("cap=") == 2
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error[input]: {path}:2: unmatched ring closure 1")
+        assert errors[1].startswith(f"error[input]: {path}:3: invalid molecule")
 
 
 class TestPreprocessCommand:
@@ -278,3 +296,14 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["--special-pairing", "upside-down", "tokenize", "C"])
         assert exc.value.code == EXIT_USAGE
+
+
+def test_package_runs_as_module():
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fragsmith", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fragsmith")

@@ -14,10 +14,17 @@ from fragsmith.molgraph import (
     molecular_weight,
     parse_smiles,
     randomized_smiles,
+    symmetry_classes,
     validate,
 )
+from fragsmith.recombine import carbon_cap, rejoin
 
-from oracles import component_ranks_reference, graph_isomorphic
+from oracles import (
+    component_ranks_reference,
+    graph_isomorphic,
+    small_rings_reference,
+    write_smiles_reference,
+)
 from test_random_graphs import molecule_graphs
 
 
@@ -269,3 +276,96 @@ def test_parsed_topology_equals_fresh_perception(corpus_lines):
         assert m.neighbors == fresh.neighbors, smi
         assert m.ring_bonds == fresh.ring_bonds, smi
         assert m.small_rings == fresh.small_rings, smi
+
+
+CAGES = [
+    "C1C2CC3CC1CC(C2)C3",  # adamantane
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C1CC2CC3CCC1CC23",  # twistane
+    "c1ccc2c(c1)C1c3ccccc3C2c2ccccc21",  # triptycene
+    "C12C3C4C5C1C6C7C2C8C3C9C4C%10C5C6C%11C7C8C9C%10%11",  # dodecahedrane
+    "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8"
+    "c9c4c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c41",  # C60
+]
+
+
+def _assert_writer_equals_reference(m: Molecule) -> None:
+    assert canonical_smiles(m) == write_smiles_reference(m)
+    for seed in (1, 2, 3):
+        assert randomized_smiles(m, seed) == write_smiles_reference(
+            m, random.Random(seed)
+        ), (canonical_smiles(m), seed)
+
+
+@pytest.fixture(scope="module")
+def corpus_graphs(corpus_lines):
+    """Every third fixture molecule, a randomized serialization of each,
+    their fragments (every eligible bond cut), the capped fragments, the
+    rejoined parents and dot-joined mixtures, plus the cages."""
+    graphs = []
+    sample = corpus_lines[::3]
+    for k, smi in enumerate(sample):
+        m = parse_smiles(smi)
+        fs = cut_bonds(m, find_brics_bonds(m))
+        graphs += [m, parse_smiles(randomized_smiles(m, k)), rejoin(fs)]
+        graphs += fs.fragments
+        graphs += [carbon_cap(f) for f in fs.fragments]
+        graphs.append(parse_smiles(".".join(f.source_text for f in fs.fragments)))
+        graphs.append(parse_smiles(f"{smi}.{sample[k - 1]}"))
+    return graphs + [parse_smiles(smi) for smi in CAGES]
+
+
+class TestWriterEqualsReference:
+    def test_corpus_fragments_and_cages(self, corpus_graphs):
+        for m in corpus_graphs:
+            _assert_writer_equals_reference(m)
+
+    def test_random_cubic_graphs(self):
+        rng = random.Random(21)
+        for n in (4, 6, 8, 10, 12, 14, 20):
+            for _ in range(20):
+                _assert_writer_equals_reference(_random_cubic_graph(rng, n))
+
+    @given(molecule_graphs())
+    def test_random_graphs(self, mol):
+        _assert_writer_equals_reference(mol)
+
+
+def _assert_symmetry_classes_equal_reference(m: Molecule) -> None:
+    expected = {}
+    for comp in m.components:
+        expected.update(component_ranks_reference(m, comp, break_ties=False))
+    assert symmetry_classes(m) == expected, canonical_smiles(m)
+
+
+class TestSymmetryClassesEqualReference:
+    def test_corpus_fragments_and_cages(self, corpus_graphs):
+        for m in corpus_graphs:
+            _assert_symmetry_classes_equal_reference(m)
+
+    def test_random_cubic_graphs(self):
+        rng = random.Random(22)
+        for n in (4, 8, 12, 16):
+            for _ in range(20):
+                _assert_symmetry_classes_equal_reference(_random_cubic_graph(rng, n))
+
+    @given(molecule_graphs())
+    def test_random_graphs(self, mol):
+        _assert_symmetry_classes_equal_reference(mol)
+
+
+class TestSmallRingsEqualReference:
+    def test_corpus_fragments_and_cages(self, corpus_graphs):
+        for m in corpus_graphs:
+            assert m.small_rings == small_rings_reference(m), m.source_text
+
+    def test_random_cubic_graphs(self):
+        rng = random.Random(23)
+        for n in (4, 8, 12, 16, 20, 24):
+            for _ in range(20):
+                m = _random_cubic_graph(rng, n)
+                assert m.small_rings == small_rings_reference(m)
+
+    @given(molecule_graphs())
+    def test_random_graphs(self, mol):
+        assert mol.small_rings == small_rings_reference(mol)

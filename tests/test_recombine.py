@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fragsmith.brics import FragmentParams, FragmentSet, fragment
+from fragsmith.brics import FragmentParams, FragmentSet, fragment, load_rules
 from fragsmith.molgraph import canonical_smiles, parse_smiles, validate
 from fragsmith.recombine import (
     AmbiguousRejoinError,
@@ -80,6 +80,18 @@ class TestProvenanceFreeRejoin:
         strings = [f.source_text for f in fs.fragments]
         rebuilt = self._build(*strings)
         assert canonical_smiles(rejoin(rebuilt)) == fs.parent_canonical
+
+    def test_custom_rule_table_pairs_its_own_labels(self, tmp_path):
+        # labels 1 and 4 are no pair in the shipped table, but are here
+        table = tmp_path / "rules.txt"
+        table.write_text("1\t[C]\t4\tsingle\n4\t[C]\t1\tsingle\n")
+        rules = load_rules(str(table))
+        fs = self._build("[1*]C(C)=O", "[4*]CC")
+        with pytest.raises(UnpairedLabelError):
+            rejoin(fs)
+        assert canonical_smiles(rejoin(fs, rules)) == canonical_smiles(
+            parse_smiles("CCC(C)=O")
+        )
 
     def test_rich_sets_are_honestly_ambiguous(self, default_params):
         # with several cuts the labels alone often admit multiple
