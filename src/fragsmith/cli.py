@@ -349,6 +349,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         _fail("internal", str(exc))
         return EXIT_ERROR
+    except RuntimeError as exc:
+        # Imported here: commands that never start workers do not load it.
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        _fail("internal", f"a worker process died: {exc}")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -27,6 +28,7 @@ from .molgraph import (
     parse_smiles,
     validate,
 )
+from .parallel import ordered_map
 from .tokenizer import MOLECULE, Vocab, build_vocab, payload_length, tokenize
 
 WEIGHT_LIMIT = 1000.0
@@ -117,6 +119,41 @@ class MoleculeLibrary:
         return cls(records=records, stats=stats, k=k)
 
 
+def _screen_lines(
+    vocab: Vocab, weight_limit: float, lines: list[str]
+) -> list[tuple[str | None, bool | None, float | None, int | None]]:
+    """Per corpus line: (canonical, valid, weight, token_length).
+
+    ``canonical`` is None for an unreadable line. A field is None where an
+    earlier filter already rejects the line: a repeat within ``lines``
+    gets no validity, an invalid molecule no weight and one over
+    ``weight_limit`` no token length.
+    """
+    seen: set[str] = set()
+    out = []
+    for line in lines:
+        try:
+            mol = parse_smiles(line)
+            canon = canonical_smiles(mol)
+        except (SmilesError, ValueError):
+            out.append((None, None, None, None))
+            continue
+        if canon in seen:
+            out.append((canon, None, None, None))
+            continue
+        seen.add(canon)
+        if not validate(mol).valid:
+            out.append((canon, False, None, None))
+            continue
+        weight = molecular_weight(mol)
+        if weight > weight_limit:
+            out.append((canon, True, weight, None))
+            continue
+        token_length = payload_length(tokenize(canon, vocab, MOLECULE), vocab)
+        out.append((canon, True, weight, token_length))
+    return out
+
+
 def preprocess(
     corpus: Iterable[str],
     vocab: Vocab | None = None,
@@ -133,32 +170,25 @@ def preprocess(
     """
     if vocab is None:
         vocab = build_vocab()
-    stats = LibraryStats()
+    lines = [line for line in map(str.strip, corpus) if line and not line.startswith("#")]
+    screened = ordered_map(partial(_screen_lines, vocab, weight_limit), lines)
+    stats = LibraryStats(read=len(lines))
     seen: set[str] = set()
     records: list[LibraryRecord] = []
-    for raw in corpus:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        stats.read += 1
-        try:
-            mol = parse_smiles(line)
-            canon = canonical_smiles(mol)
-        except (SmilesError, ValueError):
+    for canon, valid, weight, token_length in screened:
+        if canon is None:
             stats.parse_failures += 1
             continue
         if canon in seen:
             stats.duplicates += 1
             continue
         seen.add(canon)
-        if not validate(mol).valid:
+        if not valid:
             stats.validity_rejections += 1
             continue
-        weight = molecular_weight(mol)
         if weight > weight_limit:
             stats.weight_rejections += 1
             continue
-        token_length = payload_length(tokenize(canon, vocab, MOLECULE), vocab)
         if token_length > token_limit:
             stats.length_rejections += 1
             continue
@@ -282,6 +312,21 @@ class PairCounters:
     skipped_malformed: int = 0
 
 
+def _fragment_rows(
+    params: FragmentParams, canonicals: list[str]
+) -> list[tuple[str, int] | None]:
+    """Per library SMILES: (dot-joined fragment payload, fragment count),
+    or None when the molecule has no cleavable bond."""
+    out = []
+    for smi in canonicals:
+        fs = fragment(parse_smiles(smi), params)
+        if fs.cleaved:
+            out.append((".".join(f.source_text for f in fs.fragments), len(fs.fragments)))
+        else:
+            out.append(None)
+    return out
+
+
 def make_pretrain_pairs(
     lib: MoleculeLibrary,
     params: FragmentParams,
@@ -297,18 +342,19 @@ def make_pretrain_pairs(
     """
     if counters is None:
         counters = PairCounters()
-    for rec in lib.records:
-        mol = parse_smiles(rec.canonical)
-        fs = fragment(mol, params)
-        if not fs.cleaved:
+    cuts = ordered_map(
+        partial(_fragment_rows, params), [rec.canonical for rec in lib.records]
+    )
+    for rec, cut in zip(lib.records, cuts):
+        if cut is None:
             counters.skipped_no_cut += 1
             continue
-        frag_payload = ".".join(f.source_text for f in fs.fragments)
+        frag_payload, n_fragments = cut
         prefix = _pair_id("pretrain", rec.canonical)
         meta = {
             "parent": prefix,
             "seed": params.seed,
-            "n_fragments": len(fs.fragments),
+            "n_fragments": n_fragments,
         }
         counters.emitted_pairs += 1
         yield InstructionRecord(
@@ -331,6 +377,44 @@ def make_pretrain_pairs(
         )
 
 
+def _screen_reactions(
+    vocab: Vocab,
+    weight_limit: float,
+    token_limit: int,
+    reactions: list[tuple[list[str], str, str]],
+) -> list[tuple[str, str] | str]:
+    """Per reaction: (canonical product, dot-joined canonical reactants),
+    or the name of the ``PairCounters`` field that counts its skip."""
+    out: list[tuple[str, str] | str] = []
+    for reactants, product, _ in reactions:
+        if not reactants or not product:
+            out.append("skipped_empty")
+            continue
+        try:
+            product_mol = parse_smiles(product)
+            reactant_mols = [parse_smiles(r) for r in reactants]
+        except (SmilesError, ValueError):
+            out.append("skipped_unparseable")
+            continue
+        mols = [product_mol, *reactant_mols]
+        if any(not validate(m).valid for m in mols):
+            out.append("skipped_unparseable")
+            continue
+        if any(molecular_weight(m) > weight_limit for m in mols):
+            out.append("skipped_filtered")
+            continue
+        product_c = canonical_smiles(product_mol)
+        reactants_c = ".".join(canonical_smiles(m) for m in reactant_mols)
+        if (
+            payload_length(tokenize(product_c, vocab, MOLECULE), vocab) > token_limit
+            or payload_length(tokenize(reactants_c, vocab, MOLECULE), vocab) > token_limit
+        ):
+            out.append("skipped_filtered")
+            continue
+        out.append((product_c, reactants_c))
+    return out
+
+
 def make_finetune_pairs(
     reactions: Iterable[tuple[list[str], str, str]],
     vocab: Vocab | None = None,
@@ -351,31 +435,15 @@ def make_finetune_pairs(
         vocab = build_vocab()
     if counters is None:
         counters = PairCounters()
-    for reactants, product, rtype in reactions:
-        if not reactants or not product:
-            counters.skipped_empty += 1
+    reactions = list(reactions)
+    screened = ordered_map(
+        partial(_screen_reactions, vocab, weight_limit, token_limit), reactions
+    )
+    for (_, _, rtype), screen in zip(reactions, screened):
+        if isinstance(screen, str):
+            setattr(counters, screen, getattr(counters, screen) + 1)
             continue
-        try:
-            product_mol = parse_smiles(product)
-            reactant_mols = [parse_smiles(r) for r in reactants]
-        except (SmilesError, ValueError):
-            counters.skipped_unparseable += 1
-            continue
-        mols = [product_mol, *reactant_mols]
-        if any(not validate(m).valid for m in mols):
-            counters.skipped_unparseable += 1
-            continue
-        if any(molecular_weight(m) > weight_limit for m in mols):
-            counters.skipped_filtered += 1
-            continue
-        product_c = canonical_smiles(product_mol)
-        reactants_c = ".".join(canonical_smiles(m) for m in reactant_mols)
-        if (
-            payload_length(tokenize(product_c, vocab, MOLECULE), vocab) > token_limit
-            or payload_length(tokenize(reactants_c, vocab, MOLECULE), vocab) > token_limit
-        ):
-            counters.skipped_filtered += 1
-            continue
+        product_c, reactants_c = screen
         prefix = _pair_id("finetune", f"{reactants_c}>>{product_c}|{rtype}")
         meta = {"reaction_type": rtype, "parent": prefix}
         counters.emitted_pairs += 1

@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .molgraph import (
     AROMATIC,
@@ -24,6 +24,7 @@ from .molgraph import (
     canonical_smiles,
     parse_smiles,
 )
+from .parallel import ordered_map
 from .patterns import compile_pattern, has_match
 
 MORGAN = "morgan"
@@ -444,6 +445,46 @@ class EvalReport:
         return head + "\n" + row
 
 
+def _score_pairs(
+    width: int, pairs: list[tuple[str, str]]
+) -> list[tuple[bool, float, int, bool, tuple[float, ...] | None]]:
+    """Per (pred, ref) pair: (pred valid, bleu, levenshtein, exact, the
+    similarities in ``_FTS_SCHEMES`` order or None unless both sides are
+    valid).
+
+    Each distinct molecule, by canonical SMILES, is fingerprinted once
+    per call and its bitsets reused. An exact hit needs none: both sides
+    are one graph, so every similarity is tanimoto(x, x) == 1.0.
+    """
+    fingerprints: dict[str, dict[str, FingerprintBitset]] = {}
+
+    def fingerprints_of(m: Molecule, canonical: str) -> dict[str, FingerprintBitset]:
+        fps = fingerprints.get(canonical)
+        if fps is None:
+            fps = {s: fingerprint(m, s, width) for s in _FTS_SCHEMES}
+            fingerprints[canonical] = fps
+        return fps
+
+    out = []
+    for pred, ref in pairs:
+        pm = _try_parse(pred)
+        rm = _try_parse(ref)
+        exact = False
+        sims = None
+        if pm is not None and rm is not None:
+            pc = canonical_smiles(pm)
+            rc = canonical_smiles(rm)
+            exact = pc == rc
+            if exact:
+                sims = (1.0,) * len(_FTS_SCHEMES)
+            else:
+                pfp = fingerprints_of(pm, pc)
+                rfp = fingerprints_of(rm, rc)
+                sims = tuple(tanimoto(pfp[s], rfp[s]) for s in _FTS_SCHEMES)
+        out.append((pm is not None, bleu(pred, ref), levenshtein(pred, ref), exact, sims))
+    return out
+
+
 def evaluate(
     preds: list[str],
     refs: list[str],
@@ -458,9 +499,9 @@ def evaluate(
     score 0 instead of being skipped. Raises ValueError when the lists
     have different lengths.
 
-    Each distinct molecule, by canonical SMILES, is fingerprinted once
-    per call and its bitsets reused. An exact hit needs none: both sides
-    are one graph, so every similarity is tanimoto(x, x) == 1.0.
+    Pairs are scored in contiguous chunks (see ``parallel``) and summed
+    here in input order, so the floating-point sums do not depend on
+    the chunking.
     """
     if len(preds) != len(refs):
         raise ValueError("preds and refs must have equal length")
@@ -475,37 +516,18 @@ def evaluate(
     fts_sums = {s: 0.0 for s in _FTS_SCHEMES}
     fts_n = 0
     skipped = 0
-    fingerprints: dict[str, dict[str, FingerprintBitset]] = {}
-
-    def fingerprints_of(m: Molecule, canonical: str) -> dict[str, FingerprintBitset]:
-        fps = fingerprints.get(canonical)
-        if fps is None:
-            fps = {s: fingerprint(m, s, width) for s in _FTS_SCHEMES}
-            fingerprints[canonical] = fps
-        return fps
-
-    for pred, ref in zip(preds, refs):
-        pm = _try_parse(pred)
-        rm = _try_parse(ref)
-        if pm is not None:
-            valid_count += 1
-        bleu_sum += bleu(pred, ref)
-        lev_sum += levenshtein(pred, ref)
-        if pm is not None and rm is not None:
-            pc = canonical_smiles(pm)
-            rc = canonical_smiles(rm)
-            if pc == rc:
-                exact_sum += 1
-                for s in _FTS_SCHEMES:
-                    fts_sums[s] += 1.0
-            else:
-                pfp = fingerprints_of(pm, pc)
-                rfp = fingerprints_of(rm, rc)
-                for s in _FTS_SCHEMES:
-                    fts_sums[s] += tanimoto(pfp[s], rfp[s])
-            fts_n += 1
-        else:
+    scores = ordered_map(partial(_score_pairs, width), list(zip(preds, refs)))
+    for valid, bleu_score, distance, exact, sims in scores:
+        valid_count += valid
+        bleu_sum += bleu_score
+        lev_sum += distance
+        exact_sum += exact
+        if sims is None:
             skipped += 1
+            continue
+        for s, sim in zip(_FTS_SCHEMES, sims):
+            fts_sums[s] += sim
+        fts_n += 1
 
     if invalid_as_zero:
         denom = n

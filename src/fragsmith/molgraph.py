@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -89,9 +88,23 @@ class Bond:
     order: str = SINGLE
     stereo_annotation: str | None = None
 
-    def other(self, idx: int) -> int:
-        a, b = self.endpoints
-        return b if idx == a else a
+
+class _lazy:
+    """A lazily computed attribute: the first read calls the method and
+    stores the value in the instance ``__dict__``, where later reads find
+    it without reaching this descriptor. Unlike ``functools.cached_property``
+    on Python 3.11, it takes no lock."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -108,7 +121,7 @@ class Molecule:
     bonds: tuple[Bond, ...]
     source_text: str
 
-    @cached_property
+    @_lazy
     def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-atom tuple of (neighbor atom index, bond index)."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
@@ -118,19 +131,19 @@ class Molecule:
             adj[b].append((a, bi))
         return tuple(map(tuple, adj))
 
-    @cached_property
+    @_lazy
     def ring_bonds(self) -> frozenset[int]:
         """Indices of bonds that lie on at least one cycle."""
         return frozenset(range(len(self.bonds))) - _bridges(self)
 
-    @cached_property
+    @_lazy
     def ring_atoms(self) -> frozenset[int]:
         atoms = set()
         for bi in self.ring_bonds:
             atoms.update(self.bonds[bi].endpoints)
         return frozenset(atoms)
 
-    @cached_property
+    @_lazy
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted atom-index tuples."""
         return connected_components(self)
@@ -139,12 +152,12 @@ class Molecule:
     def connected(self) -> bool:
         return len(self.components) <= 1
 
-    @cached_property
+    @_lazy
     def validity(self) -> ValidityReport:
         """The :func:`validate` report, computed once per molecule."""
         return validate(self)
 
-    @cached_property
+    @_lazy
     def small_rings(self) -> tuple[tuple[int, ...], ...]:
         """One shortest cycle of at most 8 atoms through every ring bond
         (a compact cycle set).
@@ -183,7 +196,7 @@ class Molecule:
                 rings.append(tuple(reversed(path)))
         return tuple(rings)
 
-    @cached_property
+    @_lazy
     def atoms_by_kind(self) -> dict[tuple[str, bool], tuple[int, ...]]:
         """Ascending atom indices keyed by (element, aromatic); read-only."""
         index: dict[tuple[str, bool], list[int]] = {}

@@ -406,7 +406,8 @@ def _write_component(m, comp, order_key):
         atom_ring_bonds.setdefault(a, []).append(bi)
         atom_ring_bonds.setdefault(b, []).append(bi)
     for i in atom_ring_bonds:
-        atom_ring_bonds[i].sort(key=lambda bi: order_key(m.bonds[bi].other(i)))
+        # i is one endpoint of each of its bonds; the sort key is the other.
+        atom_ring_bonds[i].sort(key=lambda bi: order_key(sum(m.bonds[bi].endpoints) - i))
 
     out = []
     open_digits = {}

@@ -278,6 +278,19 @@ def test_parsed_topology_equals_fresh_perception(corpus_lines):
         assert m.small_rings == fresh.small_rings, smi
 
 
+def test_lazy_attributes_fill_on_first_read():
+    m = parse_smiles("OC(=O)Cc1ccccc1.C1CC1")
+    fresh = Molecule(atoms=m.atoms, bonds=m.bonds, source_text=m.source_text)
+    names = ["neighbors", "ring_bonds", "ring_atoms", "components", "validity",
+             "small_rings", "atoms_by_kind"]
+    assert not set(names) & set(vars(fresh))
+    for name in names:
+        value = getattr(fresh, name)
+        assert vars(fresh)[name] is value is getattr(fresh, name)
+        assert value == getattr(m, name)
+    assert fresh == m
+
+
 CAGES = [
     "C1C2CC3CC1CC(C2)C3",  # adamantane
     "C12C3C4C1C5C2C3C45",  # cubane
