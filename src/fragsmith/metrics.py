@@ -43,13 +43,10 @@ def _fnv(data: bytes) -> int:
     return h
 
 
-def _hash_obj(obj) -> int:
-    return _fnv(repr(obj).encode())
-
-
-# Atom invariants take few distinct values (one per atom kind and
-# environment), so their hashes are memoized in a bounded memo. It is
-# keyed on the repr, not the tuple, because True == 1 in a tuple key.
+# Atom invariants and Morgan environments take few distinct values (one
+# per atom kind and environment), so their hashes are memoized in a
+# bounded memo. It is keyed on the repr, not the tuple, because
+# True == 1 in a tuple key.
 _fnv_memo = lru_cache(maxsize=4096)(_fnv)
 
 
@@ -104,7 +101,7 @@ def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
                 (_ORDER_CODE[m.bonds[bi].order], current[j])
                 for j, bi in m.neighbors[i]
             )
-            nxt.append(_hash_obj((r, current[i], tuple(env))))
+            nxt.append(_hash_invariant((r, current[i], tuple(env))))
         out.update(nxt)
         current = nxt
     return out
@@ -113,46 +110,56 @@ def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
 def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
     """Hashes of all simple linear bond paths of 1..max_bonds bonds.
 
-    Forward and reverse rolling hashes are kept per DFS frame so each
-    path contributes the direction-independent min(fwd, rev) without
-    re-walking it; every path is found from both ends, so the set
-    deduplicates the two traversals.
+    A path a0-b1-a1-...-bd-ad hashes forward as the base-P polynomial
+    a0 P^2d + b1 P^(2d-1) + ... + ad and in reverse with the terms
+    mirrored, both mod 2^64, and contributes the direction-independent
+    min of the two. A recursive walk from every start atom extends both
+    hashes by one bond per call: fwd' = fwd P^2 + (b P + a), and
+    rev' = rev + a P^2d + b P^(2d-1), with the powers taken per depth.
+    The last level only hashes and adds. Every path is found from both
+    ends, so the set deduplicates the two traversals.
     """
+    prime = _FNV_PRIME
+    p2 = prime * prime & _MASK64
     inv = [
         _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
     ]
     bond_code = [
         _ORDER_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
     ]
+    powers = [pow(prime, k, _MASK64 + 1) for k in range(2 * max_bonds + 1)]
+    # adj[i]: (neighbour, bond code, neighbour invariant hash) triples.
+    adj = [
+        [(j, bond_code[bi], inv[j]) for j, bi in nbrs] for nbrs in m.neighbors
+    ]
+    on_path = [False] * len(m.atoms)
     out: set[int] = set()
-    prime = _FNV_PRIME
+    add = out.add
 
-    for start in range(len(m.atoms)):
-        on_path = [False] * len(m.atoms)
-        on_path[start] = True
-        root = inv[start]
-        # frame: (tip, fwd_hash, rev_hash, prime**len, depth, neighbor iter)
-        stack = [(start, root, root, prime, 1, iter(m.neighbors[start]))]
-        while stack:
-            tip, fwd, rev, pk, depth, it = stack[-1]
-            advanced = False
-            for j, bi in it:
-                if on_path[j]:
-                    continue
-                code = bond_code[bi]
-                f2 = ((fwd * prime + code) * prime + inv[j]) & _MASK64
-                r2 = (inv[j] * pk * prime + code * pk + rev) & _MASK64
-                out.add(min(f2, r2))
-                if depth < max_bonds:
-                    on_path[j] = True
-                    pk2 = (pk * prime * prime) & _MASK64
-                    stack.append((j, f2, r2, pk2, depth + 1, iter(m.neighbors[j])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if tip != start:
-                    on_path[tip] = False
+    def extend(tip: int, fwd: int, rev: int, depth: int) -> None:
+        # Paths of ``depth`` bonds ending one step past ``tip``.
+        po, pe = powers[2 * depth - 1], powers[2 * depth]
+        if depth == max_bonds:
+            for j, code, h in adj[tip]:
+                if not on_path[j]:
+                    f = (fwd * p2 + code * prime + h) & _MASK64
+                    r = (h * pe + code * po + rev) & _MASK64
+                    add(f if f < r else r)
+            return
+        for j, code, h in adj[tip]:
+            if not on_path[j]:
+                f = (fwd * p2 + code * prime + h) & _MASK64
+                r = (h * pe + code * po + rev) & _MASK64
+                add(f if f < r else r)
+                on_path[j] = True
+                extend(j, f, r, depth + 1)
+                on_path[j] = False
+
+    if max_bonds >= 1:
+        for start, h in enumerate(inv):
+            on_path[start] = True
+            extend(start, h, h, 1)
+            on_path[start] = False
     return out
 
 
@@ -332,7 +339,7 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def _ngram_counts(chars: str, n: int) -> Counter:
-    return Counter(tuple(chars[i : i + n]) for i in range(len(chars) - n + 1))
+    return Counter([chars[i : i + n] for i in range(len(chars) - n + 1)])
 
 
 def bleu(pred: str, ref: str) -> float:

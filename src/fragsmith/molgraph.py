@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .elements import (
     AROMATIC_ELEMENTS,
@@ -204,8 +202,35 @@ class Molecule:
             index.setdefault((a.element, a.aromatic), []).append(i)
         return {kind: tuple(idx) for kind, idx in index.items()}
 
+    @_lazy
+    def bond_kind_counts(self) -> dict[tuple, int]:
+        """Double and triple bonds counted by :func:`bond_kind`; read-only."""
+        counts: dict[tuple, int] = {}
+        atoms = self.atoms
+        for b in self.bonds:
+            if b.order in (DOUBLE, TRIPLE):
+                x, y = atoms[b.endpoints[0]], atoms[b.endpoints[1]]
+                key = bond_kind((x.element, x.aromatic), b.order, (y.element, y.aromatic))
+                counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @_lazy
+    def ring_kind_counts(self) -> dict[tuple[str, bool], int]:
+        """Ring atoms counted by (element, aromatic); read-only."""
+        counts: dict[tuple[str, bool], int] = {}
+        for i in self.ring_atoms:
+            a = self.atoms[i]
+            counts[a.element, a.aromatic] = counts.get((a.element, a.aromatic), 0) + 1
+        return counts
+
     def degree(self, idx: int) -> int:
         return len(self.neighbors[idx])
+
+
+def bond_kind(a: tuple[str, bool], order: str, b: tuple[str, bool]) -> tuple:
+    """Key of a bond of ``order`` between atoms of kinds ``a`` and ``b``
+    (element, aromatic), the same from either end."""
+    return (a, order, b) if a <= b else (b, order, a)
 
 
 def connected_components(

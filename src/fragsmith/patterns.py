@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .elements import ATOMIC_NUMBERS
-from .molgraph import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE
+from .molgraph import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE, bond_kind
 
 AtomTest = Callable[[Molecule, int], bool]
 BondTest = Callable[[Molecule, int], bool]
@@ -43,19 +43,32 @@ class _Node:
     extra: list[tuple[int, BondTest]] = field(default_factory=list)
 
 
+# One matching step per non-root node: (anchor node index, anchor bond
+# test, atom test, ring-closure tests as (earlier node index, bond test)).
+_Step = tuple[int, BondTest, AtomTest, tuple[tuple[int, BondTest], ...]]
+
+
 @dataclass
 class Pattern:
     """Compiled pattern; match with :func:`match_at` / :func:`has_match`.
 
-    Both prefilters below are derived from the atom kind, (element,
+    The prefilters below are derived from the atom kind, (element,
     aromatic), that each compiled node's test pins its atom to, if any.
+    Distinct nodes map to distinct atoms, so each counts a necessary
+    condition for a match anywhere in a molecule.
 
     ``root_element``/``root_aromatic``, when set, are the first node's
     kind: only atoms of that kind can anchor a match.
 
-    ``required`` counts the pinned nodes per kind. Distinct nodes map to
-    distinct atoms, so a molecule with fewer atoms of some required kind
-    cannot match anywhere.
+    ``required`` counts the pinned nodes per kind.
+
+    ``required_bonds`` counts the node pairs joined by a plain ``=`` or
+    ``#`` bond whose two nodes are pinned, keyed like
+    ``Molecule.bond_kind_counts``.
+
+    ``required_ring`` counts, per kind, the pinned nodes on the cycle a
+    ring closure makes with the tree path between its two nodes. Such a
+    node can only map to a ring atom.
     """
 
     nodes: list[_Node]
@@ -63,6 +76,9 @@ class Pattern:
     root_element: str | None = None
     root_aromatic: bool | None = None
     required: dict[tuple[str, bool], int] = field(default_factory=dict)
+    required_bonds: dict[tuple, int] = field(default_factory=dict)
+    required_ring: dict[tuple[str, bool], int] = field(default_factory=dict)
+    steps: tuple[_Step, ...] = ()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -286,6 +302,7 @@ def compile_pattern(text: str) -> Pattern:
     pending = ""
     branch_stack: list[int] = []
     ring_open: dict[int, tuple[int, str]] = {}
+    bonds: list[tuple[int, int, str]] = []  # (node, node, bond text)
     i = 0
     n = len(text)
     while i < n:
@@ -329,8 +346,9 @@ def compile_pattern(text: str) -> Pattern:
                 raise PatternError(f"ring digit before atom in {text!r}")
             if num in ring_open:
                 other, expr0 = ring_open.pop(num)
-                bond = _compile_bond(expr0 or pending)
-                nodes[max(prev, other)].extra.append((min(prev, other), bond))
+                expr = expr0 or pending
+                nodes[max(prev, other)].extra.append((min(prev, other), _compile_bond(expr)))
+                bonds.append((other, prev, expr))
             else:
                 ring_open[num] = (prev, pending)
             pending = ""
@@ -341,6 +359,7 @@ def compile_pattern(text: str) -> Pattern:
         node = _Node(test=test, kind=kind)
         if prev is not None:
             node.anchor = (prev, _compile_bond(pending))
+            bonds.append((prev, len(nodes), pending))
         elif pending:
             raise PatternError(f"dangling bond in {text!r}")
         pending = ""
@@ -359,61 +378,102 @@ def compile_pattern(text: str) -> Pattern:
         root_element=root_element,
         root_aromatic=root_aromatic,
         required=dict(Counter(n.kind for n in nodes if n.kind is not None)),
+        required_bonds=_required_bonds(nodes, bonds),
+        required_ring=_required_ring(nodes),
+        steps=tuple(_step(nodes, k) for k in range(1, len(nodes))),
     )
 
 
+_PLAIN_ORDERS = {"=": DOUBLE, "#": TRIPLE}
+
+
+def _required_bonds(nodes: list[_Node], bonds: list[tuple[int, int, str]]) -> dict:
+    """Count the pinned node pairs joined by a plain ``=``/``#`` bond. A
+    pair is counted once: a ring closure that repeats its anchor bond
+    maps onto the same molecule bond."""
+    pairs: dict[tuple[int, int], tuple] = {}
+    for a, b, expr in bonds:
+        order = _PLAIN_ORDERS.get(expr)
+        ka, kb = nodes[a].kind, nodes[b].kind
+        if order and a != b and ka and kb:
+            pairs.setdefault((min(a, b), max(a, b)), bond_kind(ka, order, kb))
+    return dict(Counter(pairs.values()))
+
+
+def _required_ring(nodes: list[_Node]) -> dict[tuple[str, bool], int]:
+    """Count, per pinned kind, the nodes on some ring closure's cycle:
+    the closure plus the anchor path between its nodes, when that path
+    has at least two bonds (a closure parallel to an anchor bond closes
+    no cycle)."""
+    on_cycle: set[int] = set()
+    for v, node in enumerate(nodes):
+        for u, _ in node.extra:
+            up = [u]  # u and its anchors, up to the root
+            while nodes[up[-1]].anchor is not None:
+                up.append(nodes[up[-1]].anchor[0])
+            path = [v]
+            while path[-1] not in up:
+                path.append(nodes[path[-1]].anchor[0])
+            path += up[: up.index(path[-1])]
+            if len(path) >= 3:
+                on_cycle.update(path)
+    return dict(Counter(nodes[i].kind for i in on_cycle if nodes[i].kind))
+
+
+def _never(m: Molecule, idx: int) -> bool:
+    return False
+
+
+def _step(nodes: list[_Node], k: int) -> _Step:
+    anchor, bond_test = nodes[k].anchor
+    closures = tuple(nodes[k].extra)
+    # A ring closure from a node to itself names no bond, so no atom fits.
+    atom_test = _never if any(o == k for o, _ in closures) else nodes[k].test
+    return anchor, bond_test, atom_test, closures
+
+
 def match_at(pattern: Pattern, m: Molecule, root: int) -> bool:
-    """True when the pattern matches with its first atom mapped to ``root``."""
-    nodes = pattern.nodes
-    if not nodes[0].test(m, root):
+    """True when the pattern matches with its first atom mapped to ``root``.
+
+    Backtracks over one mapping list, node i -> mapping[i], following
+    ``pattern.steps``: each step tries the unmapped neighbours of its
+    anchor's atom against the anchor bond, the atom test and each ring
+    closure to an earlier node.
+    """
+    if not pattern.nodes[0].test(m, root):
         return False
-    k = len(nodes)
-    if k == 1:
-        return True
-    mapping: list[int] = [-1] * k
-    mapping[0] = root
-    used = {root}
+    steps = pattern.steps
+    return not steps or _extend(steps, 0, [root], m)
 
-    bond_between: dict[tuple[int, int], int] = {}
 
-    def bond_idx(a: int, b: int) -> int | None:
-        key = (a, b) if a < b else (b, a)
-        if key in bond_between:
-            return bond_between[key]
-        for nbr, bi in m.neighbors[a]:
-            if nbr == b:
-                bond_between[key] = bi
-                return bi
-        return None
-
-    def rec(step: int) -> bool:
-        if step == k:
+def _extend(steps: tuple[_Step, ...], k: int, mapping: list[int], m: Molecule) -> bool:
+    anchor, bond_test, atom_test, closures = steps[k]
+    last = k + 1 == len(steps)
+    for nbr, bi in m.neighbors[mapping[anchor]]:
+        if nbr in mapping or not bond_test(m, bi) or not atom_test(m, nbr):
+            continue
+        if closures and not _closes(m, nbr, mapping, closures):
+            continue
+        if last:
             return True
-        node = nodes[step]
-        assert node.anchor is not None
-        parent, btest = node.anchor
-        for nbr, bi in m.neighbors[mapping[parent]]:
-            if nbr in used or not btest(m, bi):
-                continue
-            if not node.test(m, nbr):
-                continue
-            ok = True
-            for other, extra_test in node.extra:
-                xbi = bond_idx(nbr, mapping[other])
-                if xbi is None or not extra_test(m, xbi):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[step] = nbr
-            used.add(nbr)
-            if rec(step + 1):
-                return True
-            used.discard(nbr)
-            mapping[step] = -1
-        return False
+        mapping.append(nbr)
+        if _extend(steps, k + 1, mapping, m):
+            return True
+        mapping.pop()
+    return False
 
-    return rec(1)
+
+def _closes(m: Molecule, atom: int, mapping: list[int], closures) -> bool:
+    for other, bond_test in closures:
+        target = mapping[other]
+        for j, bi in m.neighbors[atom]:
+            if j == target:
+                break
+        else:
+            return False
+        if not bond_test(m, bi):
+            return False
+    return True
 
 
 def has_match(pattern: Pattern, m: Molecule) -> bool:
@@ -421,6 +481,12 @@ def has_match(pattern: Pattern, m: Molecule) -> bool:
     by_kind = m.atoms_by_kind
     for kind, count in pattern.required.items():
         if len(by_kind.get(kind, ())) < count:
+            return False
+    for key, count in pattern.required_bonds.items():
+        if m.bond_kind_counts.get(key, 0) < count:
+            return False
+    for kind, count in pattern.required_ring.items():
+        if m.ring_kind_counts.get(kind, 0) < count:
             return False
     if pattern.root_element is None:
         roots = range(len(m.atoms))

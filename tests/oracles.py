@@ -5,10 +5,14 @@ plain backtracking isomorphism, full-matrix edit distance, a separate
 BLEU transcription, a straight-line version of the fragment-cap
 formula, a BRICS labelling that scans every atom with every rule, the
 first dict-based canonical ranking, the two-pass canonical writer, the
-per-bond small-ring search, and an all-lengths longest-match tokenizer.
-The BRICS scan reuses the pattern matcher: what it checks is which atoms
-and rules get tried, not how one match is made. The writer reuses the
-parser's implicit-hydrogen rule to decide when an atom needs brackets.
+per-bond small-ring search, an all-lengths longest-match tokenizer, the
+stack-based linear-path fingerprint walk and the closure-based anchored
+pattern matcher. The BRICS scan reuses the pattern matcher: what it
+checks is which atoms and rules get tried, not how one match is made.
+The writer reuses the parser's implicit-hydrogen rule to decide when an
+atom needs brackets. The path walk reuses the package's atom and bond
+hash inputs, and the matcher its compiled atom and bond tests (``$()``
+tests call the package matcher): each pins the walk, not the inputs.
 """
 
 from __future__ import annotations
@@ -475,3 +479,102 @@ def write_smiles_reference(m, rng=None):
     else:
         rng.shuffle(parts)
     return ".".join(parts)
+
+
+# The linear-path fingerprint walk as first written: an explicit DFS
+# stack of 6-tuple frames with neighbour iterators, kept to pin the
+# current one to it.
+def path_hashes_reference(m, max_bonds=7):
+    from fragsmith.metrics import _FNV_PRIME, _MASK64, _ORDER_CODE, _hash_invariant
+
+    inv = [
+        _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
+    ]
+    bond_code = [
+        _ORDER_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
+    ]
+    out = set()
+    prime = _FNV_PRIME
+
+    for start in range(len(m.atoms)):
+        on_path = [False] * len(m.atoms)
+        on_path[start] = True
+        root = inv[start]
+        # frame: (tip, fwd_hash, rev_hash, prime**len, depth, neighbor iter)
+        stack = [(start, root, root, prime, 1, iter(m.neighbors[start]))]
+        while stack:
+            tip, fwd, rev, pk, depth, it = stack[-1]
+            advanced = False
+            for j, bi in it:
+                if on_path[j]:
+                    continue
+                code = bond_code[bi]
+                f2 = ((fwd * prime + code) * prime + inv[j]) & _MASK64
+                r2 = (inv[j] * pk * prime + code * pk + rev) & _MASK64
+                out.add(min(f2, r2))
+                if depth < max_bonds:
+                    on_path[j] = True
+                    pk2 = (pk * prime * prime) & _MASK64
+                    stack.append((j, f2, r2, pk2, depth + 1, iter(m.neighbors[j])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                if tip != start:
+                    on_path[tip] = False
+    return out
+
+
+# The anchored pattern matcher as first written: a used-atom set, a
+# bond lookup dict and two closures per call over the compiled nodes.
+def match_at_reference(pattern, m, root):
+    nodes = pattern.nodes
+    if not nodes[0].test(m, root):
+        return False
+    k = len(nodes)
+    if k == 1:
+        return True
+    mapping = [-1] * k
+    mapping[0] = root
+    used = {root}
+
+    bond_between = {}
+
+    def bond_idx(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key in bond_between:
+            return bond_between[key]
+        for nbr, bi in m.neighbors[a]:
+            if nbr == b:
+                bond_between[key] = bi
+                return bi
+        return None
+
+    def rec(step):
+        if step == k:
+            return True
+        node = nodes[step]
+        assert node.anchor is not None
+        parent, btest = node.anchor
+        for nbr, bi in m.neighbors[mapping[parent]]:
+            if nbr in used or not btest(m, bi):
+                continue
+            if not node.test(m, nbr):
+                continue
+            ok = True
+            for other, extra_test in node.extra:
+                xbi = bond_idx(nbr, mapping[other])
+                if xbi is None or not extra_test(m, xbi):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[step] = nbr
+            used.add(nbr)
+            if rec(step + 1):
+                return True
+            used.discard(nbr)
+            mapping[step] = -1
+        return False
+
+    return rec(1)

@@ -123,3 +123,19 @@ def test_filtered_has_match_equals_scan_of_every_atom(corpus_lines):
         for p in patterns:
             every_atom = any(match_at(p, m, i) for i in range(len(m.atoms)))
             assert has_match(p, m) == every_atom, (p.text, smi)
+
+
+def test_required_bonds_and_ring_kinds():
+    c, o, ar = ("C", False), ("O", False), ("C", True)
+    assert compile_pattern("C=O").required_bonds == {(c, "double", o): 1}
+    assert compile_pattern("O=C=O").required_bonds == {(c, "double", o): 2}
+    assert compile_pattern("CC#C").required_bonds == {(c, "triple", c): 1}
+    # a closure repeating its anchor bond is one molecule bond
+    assert compile_pattern("C=1=O1").required_bonds == {(c, "double", o): 1}
+    assert compile_pattern("[C,N]=O").required_bonds == {}
+    assert compile_pattern("C=;@C").required_bonds == {}
+    assert compile_pattern("c1ccccc1").required_ring == {ar: 6}
+    assert compile_pattern("CC1CC1C").required_ring == {c: 3}
+    assert compile_pattern("[#6]1CC1").required_ring == {c: 2}
+    assert compile_pattern("C1C1").required_ring == {}
+    assert compile_pattern("CC11").required_ring == {}
