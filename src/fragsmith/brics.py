@@ -18,7 +18,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .molgraph import (
+    AROMATIC,
+    DOUBLE,
     SINGLE,
+    TRIPLE,
     Atom,
     Bond,
     Molecule,
@@ -29,6 +32,8 @@ from .molgraph import (
 from .patterns import Pattern, compile_pattern, match_at
 
 DUMMY_LABEL_RANGE = range(1, 17)
+# The rule table's bond column -> bond order.
+_BOND_KINDS = {"single": SINGLE, "double": DOUBLE, "triple": TRIPLE, "aromatic": AROMATIC}
 
 
 class RuleTableError(ValueError):
@@ -44,7 +49,7 @@ class BricsRule:
     label: int
     pattern: Pattern
     partners: tuple[int, ...]
-    bond_kind: str
+    bond_kind: int  # the bond order the pairs are defined over
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,9 @@ def load_rules(path: str | None = None) -> tuple[BricsRule, ...]:
         if label in rules:
             raise RuleTableError(f"line {lineno}: duplicate label {label}")
         partners = tuple(int(p) for p in parts[2].split(","))
-        bond_kind = parts[3] if len(parts) == 4 else SINGLE
+        bond_kind = _BOND_KINDS.get(parts[3]) if len(parts) == 4 else SINGLE
+        if bond_kind is None:
+            raise RuleTableError(f"line {lineno}: unknown bond kind {parts[3]!r}")
         rules[label] = BricsRule(
             label=label,
             pattern=compile_pattern(parts[1]),
@@ -174,11 +181,11 @@ def _rule_index(rules: tuple[BricsRule, ...]) -> tuple:
             if p >= rule.label
         ))
         used = [r for r in rules if any(r.label in pair for pair in pairs)]
-        unpinned = tuple(r for r in used if r.pattern.root_element is None)
+        unpinned = tuple(r for r in used if r.pattern.root_kind is None)
         by_kind: dict[tuple[str, bool], tuple[BricsRule, ...]] = {}
         for r in used:
-            if r.pattern.root_element is not None:
-                kind = (r.pattern.root_element, r.pattern.root_aromatic)
+            kind = r.pattern.root_kind
+            if kind is not None:
                 by_kind[kind] = by_kind.get(kind, unpinned) + (r,)
         hit = _INDEX_CACHE[id(rules)] = (rules, pairs, by_kind, unpinned)
     return hit[1:]

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .molgraph import (
-    AROMATIC,
     DOUBLE,
     Molecule,
-    SINGLE,
     SmilesError,
-    TRIPLE,
     canonical_smiles,
     parse_smiles,
 )
@@ -74,9 +71,6 @@ class FingerprintError(ValueError):
     pass
 
 
-_ORDER_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
-
-
 def _atom_invariant(m: Molecule, i: int) -> tuple:
     a = m.atoms[i]
     return (
@@ -98,7 +92,7 @@ def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
         nxt = []
         for i in range(len(m.atoms)):
             env = sorted(
-                (_ORDER_CODE[m.bonds[bi].order], current[j])
+                (m.bonds[bi].order, current[j])
                 for j, bi in m.neighbors[i]
             )
             nxt.append(_hash_invariant((r, current[i], tuple(env))))
@@ -124,9 +118,7 @@ def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
     inv = [
         _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
     ]
-    bond_code = [
-        _ORDER_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
-    ]
+    bond_code = [b.order * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds]
     powers = [pow(prime, k, _MASK64 + 1) for k in range(2 * max_bonds + 1)]
     # adj[i]: (neighbour, bond code, neighbour invariant hash) triples.
     adj = [

@@ -28,17 +28,17 @@ from .elements import (
 
 H_WEIGHT = ATOMIC_WEIGHTS["H"]
 
-SINGLE = "single"
-DOUBLE = "double"
-TRIPLE = "triple"
-AROMATIC = "aromatic"
+# Bond orders. The numbers are also the bond's rank in canonical ranking
+# and its code in the path and Morgan fingerprints.
+SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, 4
 
-_BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
-_BOND_SYMBOLS = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
-_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1.5}
-# Integer bond contribution used by the valence check: an aromatic bond
-# occupies one sigma slot.
-_SIGMA_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}
+# SMILES bond symbol -> order.
+BOND_ORDERS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+# Bond valence in half-units, indexed by order: an aromatic bond counts 1.5.
+_ORDER_VALUE = (0, 2, 4, 6, 3)
+# Integer bond contribution used by the valence check, indexed by order:
+# an aromatic bond occupies one sigma slot.
+_SIGMA_VALUE = (0, 1, 2, 3, 1)
 
 
 class SmilesError(ValueError):
@@ -80,10 +80,12 @@ class Atom:
 
 @dataclass(frozen=True)
 class Bond:
-    """Edge between two atom indices. ``stereo_annotation`` keeps /\\ marks."""
+    """Edge between two atom indices. ``order`` is one of the ints
+    ``SINGLE``, ``DOUBLE``, ``TRIPLE`` and ``AROMATIC`` (1 to 4);
+    ``stereo_annotation`` keeps /\\ marks."""
 
     endpoints: tuple[int, int]
-    order: str = SINGLE
+    order: int = SINGLE
     stereo_annotation: str | None = None
 
 
@@ -203,10 +205,15 @@ class Molecule:
         return {kind: tuple(idx) for kind, idx in index.items()}
 
     @_lazy
-    def bond_kind_counts(self) -> dict[tuple, int]:
-        """Double and triple bonds counted by :func:`bond_kind`; read-only."""
-        counts: dict[tuple, int] = {}
+    def kind_counts(self) -> dict[tuple, int]:
+        """Atoms counted by (element, aromatic) kind, ring atoms by
+        ``(kind, "@")`` and double and triple bonds by :func:`bond_kind`;
+        read-only."""
+        counts = {kind: len(idx) for kind, idx in self.atoms_by_kind.items()}
         atoms = self.atoms
+        for i in self.ring_atoms:
+            key = (atoms[i].element, atoms[i].aromatic), "@"
+            counts[key] = counts.get(key, 0) + 1
         for b in self.bonds:
             if b.order in (DOUBLE, TRIPLE):
                 x, y = atoms[b.endpoints[0]], atoms[b.endpoints[1]]
@@ -214,20 +221,11 @@ class Molecule:
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
-    @_lazy
-    def ring_kind_counts(self) -> dict[tuple[str, bool], int]:
-        """Ring atoms counted by (element, aromatic); read-only."""
-        counts: dict[tuple[str, bool], int] = {}
-        for i in self.ring_atoms:
-            a = self.atoms[i]
-            counts[a.element, a.aromatic] = counts.get((a.element, a.aromatic), 0) + 1
-        return counts
-
     def degree(self, idx: int) -> int:
         return len(self.neighbors[idx])
 
 
-def bond_kind(a: tuple[str, bool], order: str, b: tuple[str, bool]) -> tuple:
+def bond_kind(a: tuple[str, bool], order: int, b: tuple[str, bool]) -> tuple:
     """Key of a bond of ``order`` between atoms of kinds ``a`` and ``b``
     (element, aromatic), the same from either end."""
     return (a, order, b) if a <= b else (b, order, a)
@@ -414,16 +412,16 @@ def parse_smiles(text: str) -> Molecule:
         raise SmilesError("empty SMILES", 0)
 
     atoms: list[_WorkAtom] = []
-    bonds: list[tuple[int, int, str | None, str | None]] = []  # a, b, order, stereo
+    bonds: list[tuple[int, int, int | None, str | None]] = []  # a, b, order, stereo
     prev: int | None = None
-    pending_bond: str | None = None
+    pending_bond: int | None = None
     pending_stereo: str | None = None
     branch_stack: list[int | None] = []
-    ring_open: dict[int, tuple[int, str | None, str | None, int]] = {}
+    ring_open: dict[int, tuple[int, int | None, str | None, int]] = {}
 
     bond_pairs: set[frozenset[int]] = set()
 
-    def add_bond(a: int, b: int, order: str | None, stereo: str | None, off: int) -> None:
+    def add_bond(a: int, b: int, order: int | None, stereo: str | None, off: int) -> None:
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", off)
         pair = frozenset((a, b))
@@ -455,10 +453,10 @@ def parse_smiles(text: str) -> Molecule:
         elif ch == DUMMY:
             new_atom = _WorkAtom(element=DUMMY)
             i += 1
-        elif ch in _BOND_CHARS:
+        elif ch in BOND_ORDERS:
             if pending_bond is not None:
                 raise SmilesError("two bond symbols in a row", i)
-            pending_bond = _BOND_CHARS[ch]
+            pending_bond = BOND_ORDERS[ch]
             i += 1
             continue
         elif ch in "/\\":
@@ -534,11 +532,11 @@ def parse_smiles(text: str) -> Molecule:
 
 def _assemble(
     work: list[_WorkAtom],
-    raw_bonds: list[tuple[int, int, str | None, str | None]],
+    raw_bonds: list[tuple[int, int, int | None, str | None]],
     text: str,
 ) -> Molecule:
     """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
-    orders: list[str] = []
+    orders: list[int] = []
     for a, b, order, _ in raw_bonds:
         if order is None:
             order = AROMATIC if (work[a].aromatic and work[b].aromatic) else SINGLE
@@ -559,7 +557,7 @@ def _assemble(
         if order is None and orders[bi] == AROMATIC and bi not in ring:
             orders[bi] = SINGLE
 
-    adj: list[list[tuple[int, str]]] = [[] for _ in work]
+    adj: list[list[tuple[int, int]]] = [[] for _ in work]
     for (a, b, _, _), o in zip(raw_bonds, orders):
         adj[a].append((b, o))
         adj[b].append((a, o))
@@ -598,7 +596,7 @@ def _assemble(
     return mol
 
 
-def _default_hydrogens(element: str, aromatic: bool, orders: list[str]) -> int:
+def _default_hydrogens(element: str, aromatic: bool, orders: list[int]) -> int:
     """Implicit hydrogen count for an unbracketed atom in a bond context."""
     valences = allowed_valences(element, 0)
     if not valences:
@@ -608,8 +606,8 @@ def _default_hydrogens(element: str, aromatic: bool, orders: list[str]) -> int:
         # pi system; lowest valence only (thiophene S gets no hydrogen).
         sigma = sum(map(_SIGMA_VALUE.__getitem__, orders))
         return max(0, valences[0] - (sigma + 1))
-    total = sum(map(_ORDER_VALUE.__getitem__, orders))
-    total = int(total) if total == int(total) else int(total) + 1
+    # The bond valence rounded up, from half-units.
+    total = (sum(map(_ORDER_VALUE.__getitem__, orders)) + 1) // 2
     for v in valences:
         if v >= total:
             return v - total
@@ -749,8 +747,7 @@ def validate(m: Molecule) -> ValidityReport:
         valences = allowed_valences(atom.element, atom.formal_charge)
         if valences is None:
             continue
-        total = sum(_SIGMA_VALUE[m.bonds[bi].order] for _, bi in m.neighbors[i])
-        total += atom.h_total
+        total = sigma_valence(m, i) + atom.h_total
         if total > max(valences):
             failures.append(
                 (i, f"{atom.element} valence {total} exceeds {max(valences)}")
@@ -761,6 +758,12 @@ def validate(m: Molecule) -> ValidityReport:
             if not (m.atoms[a].aromatic and m.atoms[b].aromatic):
                 failures.append((a, "aromatic bond between non-aromatic atoms"))
     return ValidityReport(valid=not failures, failures=tuple(failures))
+
+
+def sigma_valence(m: Molecule, i: int) -> int:
+    """Valence atom ``i`` spends on its bonds, an aromatic bond taking one
+    sigma slot."""
+    return sum(_SIGMA_VALUE[m.bonds[bi].order] for _, bi in m.neighbors[i])
 
 
 def molecular_weight(m: Molecule) -> float:
@@ -777,9 +780,6 @@ def molecular_weight(m: Molecule) -> float:
 # ---------------------------------------------------------------------------
 # Canonical ranking
 # ---------------------------------------------------------------------------
-
-_ORDER_RANK = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
-
 
 def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) -> dict[int, int]:
     """Rank the atoms of one connected component (atom index -> rank).
@@ -799,7 +799,7 @@ def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) ->
     atoms, nbrs, ring_atoms = m.atoms, m.neighbors, m.ring_atoms
     # A component holding every atom is (0, ..., n - 1): range(n) maps it.
     local = range(n) if n == len(atoms) else {a: k for k, a in enumerate(comp)}
-    bond_rank = [_ORDER_RANK[b.order] for b in m.bonds]
+    bond_rank = [b.order for b in m.bonds]
     # (bond rank * n, neighbour); bond rank * n + neighbour rank sorts as
     # the (bond rank, neighbour rank) pair does.
     adj = [[(bond_rank[bi] * n, local[j]) for j, bi in nbrs[i]] for i in comp]
@@ -912,9 +912,11 @@ def _bond_token(m: Molecule, bi: int) -> str:
         if both_aromatic and bi in m.ring_bonds:
             return "-"
         return ""
-    if bond.order == AROMATIC:
-        return ""
-    return _BOND_SYMBOLS[bond.order]
+    if bond.order == DOUBLE:
+        return "="
+    if bond.order == TRIPLE:
+        return "#"
+    return ""
 
 
 def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .elements import ATOMIC_NUMBERS
-from .molgraph import AROMATIC, DOUBLE, Molecule, SINGLE, TRIPLE, bond_kind
+from .molgraph import AROMATIC, BOND_ORDERS, DOUBLE, Molecule, SINGLE, TRIPLE, bond_kind
 
 AtomTest = Callable[[Molecule, int], bool]
 BondTest = Callable[[Molecule, int], bool]
@@ -52,32 +52,26 @@ _Step = tuple[int, BondTest, AtomTest, tuple[tuple[int, BondTest], ...]]
 class Pattern:
     """Compiled pattern; match with :func:`match_at` / :func:`has_match`.
 
-    The prefilters below are derived from the atom kind, (element,
-    aromatic), that each compiled node's test pins its atom to, if any.
-    Distinct nodes map to distinct atoms, so each counts a necessary
-    condition for a match anywhere in a molecule.
+    The prefilter is derived from the atom kind that each compiled
+    node's test pins its atom to, if any.
 
-    ``root_element``/``root_aromatic``, when set, are the first node's
-    kind: only atoms of that kind can anchor a match.
+    ``root_kind``, when set, is the first node's kind: only atoms of that
+    kind can anchor a match.
 
-    ``required`` counts the pinned nodes per kind.
-
-    ``required_bonds`` counts the node pairs joined by a plain ``=`` or
-    ``#`` bond whose two nodes are pinned, keyed like
-    ``Molecule.bond_kind_counts``.
-
-    ``required_ring`` counts, per kind, the pinned nodes on the cycle a
-    ring closure makes with the tree path between its two nodes. Such a
-    node can only map to a ring atom.
+    ``required`` is a multiset keyed like ``Molecule.kind_counts``. It
+    counts the pinned nodes per kind; per ``(kind, "@")``, the pinned
+    nodes on the cycle a ring closure makes with the tree path between
+    its two nodes, which can only map to ring atoms; and per
+    :func:`~fragsmith.molgraph.bond_kind`, the node pairs joined by a
+    plain ``=`` or ``#`` bond whose two nodes are pinned. Distinct nodes
+    map to distinct atoms, and distinct pairs to distinct bonds, so a
+    molecule with fewer of any key has no match.
     """
 
     nodes: list[_Node]
     text: str
-    root_element: str | None = None
-    root_aromatic: bool | None = None
-    required: dict[tuple[str, bool], int] = field(default_factory=dict)
-    required_bonds: dict[tuple, int] = field(default_factory=dict)
-    required_ring: dict[tuple[str, bool], int] = field(default_factory=dict)
+    root_kind: AtomKind = None
+    required: dict[tuple, int] = field(default_factory=dict)
     steps: tuple[_Step, ...] = ()
 
     def __len__(self) -> int:
@@ -88,7 +82,7 @@ def _atomic_number(m: Molecule, idx: int) -> int:
     return ATOMIC_NUMBERS.get(m.atoms[idx].element, -1)
 
 
-def _bond_order_test(order: str) -> BondTest:
+def _bond_order_test(order: int) -> BondTest:
     return lambda m, bi: m.bonds[bi].order == order
 
 
@@ -97,10 +91,7 @@ def _bond_single_or_aromatic(m: Molecule, bi: int) -> bool:
 
 
 _BOND_PRIMS: dict[str, BondTest] = {
-    "-": _bond_order_test(SINGLE),
-    "=": _bond_order_test(DOUBLE),
-    "#": _bond_order_test(TRIPLE),
-    ":": _bond_order_test(AROMATIC),
+    **{ch: _bond_order_test(order) for ch, order in BOND_ORDERS.items()},
     "~": lambda m, bi: True,
     "@": lambda m, bi: bi in m.ring_bonds,
 }
@@ -346,6 +337,8 @@ def compile_pattern(text: str) -> Pattern:
                 raise PatternError(f"ring digit before atom in {text!r}")
             if num in ring_open:
                 other, expr0 = ring_open.pop(num)
+                if other == prev:
+                    raise PatternError(f"ring closure {num} bonds a node to itself in {text!r}")
                 expr = expr0 or pending
                 nodes[max(prev, other)].extra.append((min(prev, other), _compile_bond(expr)))
                 bonds.append((other, prev, expr))
@@ -371,37 +364,33 @@ def compile_pattern(text: str) -> Pattern:
         raise PatternError(f"unmatched '(' in {text!r}")
     if not nodes:
         raise PatternError("empty pattern")
-    root_element, root_aromatic = nodes[0].kind or (None, None)
+    required = Counter(n.kind for n in nodes if n.kind is not None)
+    required.update(_ring_kinds(nodes))
+    required.update(_bond_kinds(nodes, bonds))
     return Pattern(
         nodes=nodes,
         text=text,
-        root_element=root_element,
-        root_aromatic=root_aromatic,
-        required=dict(Counter(n.kind for n in nodes if n.kind is not None)),
-        required_bonds=_required_bonds(nodes, bonds),
-        required_ring=_required_ring(nodes),
+        root_kind=nodes[0].kind,
+        required=dict(required),
         steps=tuple(_step(nodes, k) for k in range(1, len(nodes))),
     )
 
 
-_PLAIN_ORDERS = {"=": DOUBLE, "#": TRIPLE}
-
-
-def _required_bonds(nodes: list[_Node], bonds: list[tuple[int, int, str]]) -> dict:
-    """Count the pinned node pairs joined by a plain ``=``/``#`` bond. A
-    pair is counted once: a ring closure that repeats its anchor bond
-    maps onto the same molecule bond."""
+def _bond_kinds(nodes: list[_Node], bonds: list[tuple[int, int, str]]) -> list[tuple]:
+    """The bond kinds of the pinned node pairs joined by a plain ``=``/``#``
+    bond. A pair is counted once: a ring closure that repeats its anchor
+    bond maps onto the same molecule bond."""
     pairs: dict[tuple[int, int], tuple] = {}
     for a, b, expr in bonds:
-        order = _PLAIN_ORDERS.get(expr)
+        order = BOND_ORDERS.get(expr)
         ka, kb = nodes[a].kind, nodes[b].kind
-        if order and a != b and ka and kb:
+        if order in (DOUBLE, TRIPLE) and ka and kb:
             pairs.setdefault((min(a, b), max(a, b)), bond_kind(ka, order, kb))
-    return dict(Counter(pairs.values()))
+    return list(pairs.values())
 
 
-def _required_ring(nodes: list[_Node]) -> dict[tuple[str, bool], int]:
-    """Count, per pinned kind, the nodes on some ring closure's cycle:
+def _ring_kinds(nodes: list[_Node]) -> list[tuple]:
+    """``(kind, "@")`` for each pinned node on some ring closure's cycle:
     the closure plus the anchor path between its nodes, when that path
     has at least two bonds (a closure parallel to an anchor bond closes
     no cycle)."""
@@ -417,19 +406,12 @@ def _required_ring(nodes: list[_Node]) -> dict[tuple[str, bool], int]:
             path += up[: up.index(path[-1])]
             if len(path) >= 3:
                 on_cycle.update(path)
-    return dict(Counter(nodes[i].kind for i in on_cycle if nodes[i].kind))
-
-
-def _never(m: Molecule, idx: int) -> bool:
-    return False
+    return [(nodes[i].kind, "@") for i in on_cycle if nodes[i].kind]
 
 
 def _step(nodes: list[_Node], k: int) -> _Step:
     anchor, bond_test = nodes[k].anchor
-    closures = tuple(nodes[k].extra)
-    # A ring closure from a node to itself names no bond, so no atom fits.
-    atom_test = _never if any(o == k for o, _ in closures) else nodes[k].test
-    return anchor, bond_test, atom_test, closures
+    return anchor, bond_test, nodes[k].test, tuple(nodes[k].extra)
 
 
 def match_at(pattern: Pattern, m: Molecule, root: int) -> bool:
@@ -478,18 +460,12 @@ def _closes(m: Molecule, atom: int, mapping: list[int], closures) -> bool:
 
 def has_match(pattern: Pattern, m: Molecule) -> bool:
     """True when the pattern matches anchored at any atom."""
-    by_kind = m.atoms_by_kind
-    for kind, count in pattern.required.items():
-        if len(by_kind.get(kind, ())) < count:
+    counts = m.kind_counts
+    for key, count in pattern.required.items():
+        if counts.get(key, 0) < count:
             return False
-    for key, count in pattern.required_bonds.items():
-        if m.bond_kind_counts.get(key, 0) < count:
-            return False
-    for kind, count in pattern.required_ring.items():
-        if m.ring_kind_counts.get(kind, 0) < count:
-            return False
-    if pattern.root_element is None:
+    if pattern.root_kind is None:
         roots = range(len(m.atoms))
     else:
-        roots = by_kind.get((pattern.root_element, pattern.root_aromatic), ())
+        roots = m.atoms_by_kind.get(pattern.root_kind, ())
     return any(match_at(pattern, m, i) for i in roots)

@@ -20,6 +20,7 @@ from .molgraph import (
     Bond,
     Molecule,
     canonical_smiles,
+    sigma_valence,
     symmetry_classes,
 )
 
@@ -195,17 +196,13 @@ def carbon_cap(f: Molecule) -> Molecule:
     """
     if not any(a.is_dummy for a in f.atoms):
         return f
-    order_used = {"single": 1, "double": 2, "triple": 3, "aromatic": 1}
     new_atoms: list[Atom] = []
     for i, atom in enumerate(f.atoms):
         if not atom.is_dummy:
             new_atoms.append(atom)
             continue
-        bond_sum = sum(
-            order_used[f.bonds[bi].order] for _, bi in f.neighbors[i]
-        )
         new_atoms.append(
-            Atom(element="C", implicit_h=max(0, 4 - bond_sum))
+            Atom(element="C", implicit_h=max(0, 4 - sigma_valence(f, i)))
         )
     atoms = tuple(new_atoms)
     capped = Molecule(atoms=atoms, bonds=f.bonds, source_text="")

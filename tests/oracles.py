@@ -6,19 +6,22 @@ BLEU transcription, a straight-line version of the fragment-cap
 formula, a BRICS labelling that scans every atom with every rule, the
 first dict-based canonical ranking, the two-pass canonical writer, the
 per-bond small-ring search, an all-lengths longest-match tokenizer, the
-stack-based linear-path fingerprint walk and the closure-based anchored
-pattern matcher. The BRICS scan reuses the pattern matcher: what it
-checks is which atoms and rules get tried, not how one match is made.
-The writer reuses the parser's implicit-hydrogen rule to decide when an
-atom needs brackets. The path walk reuses the package's atom and bond
-hash inputs, and the matcher its compiled atom and bond tests (``$()``
-tests call the package matcher): each pins the walk, not the inputs.
+stack-based linear-path fingerprint walk, the closure-based anchored
+pattern matcher, and the string-keyed implicit-hydrogen and sigma-valence
+rules. The BRICS scan reuses the pattern matcher: what it checks is
+which atoms and rules get tried, not how one match is made. The writer
+reuses the parser's implicit-hydrogen rule to decide when an atom needs
+brackets. The path walk reuses the package's atom hash inputs, and the
+matcher its compiled atom and bond tests (``$()`` tests call the
+package matcher): each pins the walk, not the inputs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+from fragsmith.molgraph import AROMATIC, DOUBLE, SINGLE, TRIPLE
 
 
 def _atom_key(mol, i):
@@ -151,13 +154,13 @@ def brics_bonds_full_scan(mol, rules):
     pairs = sorted(
         (r.label, p)
         for r in rules
-        if r.bond_kind == "single"
+        if r.bond_kind == SINGLE
         for p in r.partners
         if p >= r.label
     )
     out = []
     for bi, bond in enumerate(mol.bonds):
-        if bond.order != "single" or bi in mol.ring_bonds:
+        if bond.order != SINGLE or bi in mol.ring_bonds:
             continue
         a, b = bond.endpoints
         for la, lb in pairs:
@@ -172,7 +175,7 @@ def brics_bonds_full_scan(mol, rules):
 
 # Dict-based colour refinement with input-index tie-breaking: the
 # canonical ranking as first written, kept to pin the current one to it.
-_ORDER_RANK = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
+_ORDER_RANK = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
 def _initial_invariants(m, comp):
@@ -357,18 +360,18 @@ def _atom_token(m, i):
     return f"[{iso}{sym}{hstr}{cstr}]"
 
 
-_BOND_SYMBOLS = {"single": "-", "double": "=", "triple": "#", "aromatic": ":"}
+_BOND_SYMBOLS = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 
 
 def _bond_token(m, bi):
     bond = m.bonds[bi]
     a, b = bond.endpoints
-    if bond.order == "single":
+    if bond.order == SINGLE:
         both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
         if both_aromatic and bi in m.ring_bonds:
             return "-"
         return ""
-    if bond.order == "aromatic":
+    if bond.order == AROMATIC:
         return ""
     return _BOND_SYMBOLS[bond.order]
 
@@ -484,14 +487,17 @@ def write_smiles_reference(m, rng=None):
 # The linear-path fingerprint walk as first written: an explicit DFS
 # stack of 6-tuple frames with neighbour iterators, kept to pin the
 # current one to it.
+_PATH_BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
+
+
 def path_hashes_reference(m, max_bonds=7):
-    from fragsmith.metrics import _FNV_PRIME, _MASK64, _ORDER_CODE, _hash_invariant
+    from fragsmith.metrics import _FNV_PRIME, _MASK64, _hash_invariant
 
     inv = [
         _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
     ]
     bond_code = [
-        _ORDER_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
+        _PATH_BOND_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
     ]
     out = set()
     prime = _FNV_PRIME
@@ -578,3 +584,32 @@ def match_at_reference(pattern, m, root):
         return False
 
     return rec(1)
+
+
+# The valence rules as first written, over bond order names: a bond's
+# valence, rounded up over an atom, and its sigma slots.
+_ORDER_NAME = {SINGLE: "single", DOUBLE: "double", TRIPLE: "triple", AROMATIC: "aromatic"}
+_ORDER_VALUE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1.5}
+_SIGMA_VALUE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1}
+
+
+def default_hydrogens_reference(element, aromatic, orders):
+    from fragsmith.elements import allowed_valences
+
+    valences = allowed_valences(element, 0)
+    if not valences:
+        return 0
+    names = [_ORDER_NAME[o] for o in orders]
+    if aromatic:
+        sigma = sum(_SIGMA_VALUE[o] for o in names)
+        return max(0, valences[0] - (sigma + 1))
+    total = sum(_ORDER_VALUE[o] for o in names)
+    total = int(total) if total == int(total) else int(total) + 1
+    for v in valences:
+        if v >= total:
+            return v - total
+    return 0
+
+
+def sigma_valence_reference(m, i):
+    return sum(_SIGMA_VALUE[_ORDER_NAME[m.bonds[bi].order]] for _, bi in m.neighbors[i])

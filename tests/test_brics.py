@@ -14,7 +14,7 @@ from fragsmith.brics import (
     load_rules,
     max_fragments,
 )
-from fragsmith.molgraph import parse_smiles
+from fragsmith.molgraph import SINGLE, parse_smiles
 
 from oracles import brics_bonds_full_scan, fragment_cap_reference
 
@@ -125,7 +125,7 @@ class TestFindBricsBonds:
             m = parse_smiles(smi)
             for bb in find_brics_bonds(m):
                 assert bb.bond_index not in m.ring_bonds
-                assert m.bonds[bb.bond_index].order == "single"
+                assert m.bonds[bb.bond_index].order == SINGLE
 
 
 class TestFragment:
@@ -241,6 +241,12 @@ class TestRuleTable:
         bad = tmp_path / "rules.txt"
         bad.write_text("1\t[C]\t2\tsingle\n2\t[N]\t3\tsingle\n3\t[O]\t2\tsingle\n")
         with pytest.raises(RuleTableError):
+            load_rules(str(bad))
+
+    def test_unknown_bond_kind_rejected(self, tmp_path):
+        bad = tmp_path / "rules.txt"
+        bad.write_text("1\t[C]\t2\tSingle\n2\t[N]\t1\tSingle\n")
+        with pytest.raises(RuleTableError, match="line 1: unknown bond kind 'Single'"):
             load_rules(str(bad))
 
     def test_bad_label_rejected(self, tmp_path):

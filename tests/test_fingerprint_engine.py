@@ -34,14 +34,14 @@ from test_random_graphs import molecule_graphs
 KEY_PATTERNS = [compile_pattern(t) for t in _KEY_PATTERNS]
 RULE_PATTERNS = [r.pattern for r in load_rules()]
 
-# Ring closures (including ones parallel to an anchor bond or from a node
-# to itself), plain and constrained =/# bonds, $() and ! in one list.
+# Ring closures (including ones parallel to an anchor bond), plain and
+# constrained =/# bonds, $() and ! in one list.
 CUSTOM_PATTERNS = [compile_pattern(t) for t in [
     "C1CCCCC1=O", "O=C1CCCC1", "C=1CCCC1", "C1=CC=CC=C1", "c1ccc2ccccc2c1",
     "C12CCC1CC2", "[C;R]1CC[N,O]C1", "[!C;R]1CCCC1", "c1ccccc1C#N", "N#CC",
     "C#C", "N=C=N", "O=C=O", "[#6]=[#8]", "[C,N]=O", "C=;!@C", "C=;@C",
     "[$(C=O)]N", "[C;!$(C=O)]1CCOC1", "[N;!R]C(=O)", "S(=O)(=O)1CCCC1",
-    "C=1=O1", "C1C1", "C11", "CC11", "C1CC1C=C", "[c;$(c1ccccc1)]C=O",
+    "C=1=O1", "C1C1", "C1CC1C=C", "[c;$(c1ccccc1)]C=O",
     "c1cc(C=O)ccc1", "*1***1", "[N+](=O)[O-]",
 ]]
 
@@ -115,10 +115,10 @@ def test_has_match_equals_reference_scan_random_graphs(m):
 
 def test_custom_patterns_match_somewhere(graphs):
     # A custom pattern that no graph matches would test only the "no"
-    # side. These two cannot match: the parser reads a Kekule benzene as
-    # aromatic, and a ring closure from a node to itself names no bond.
+    # side. This one cannot match: the parser reads a Kekule benzene as
+    # aromatic.
     matched = {p.text for m in graphs for p in CUSTOM_PATTERNS if has_match(p, m)}
-    assert {p.text for p in CUSTOM_PATTERNS} - matched == {"C1=CC=CC=C1", "CC11"}
+    assert {p.text for p in CUSTOM_PATTERNS} - matched == {"C1=CC=CC=C1"}
 
 
 def test_fingerprints_do_not_depend_on_the_hash_memo(graphs, monkeypatch):

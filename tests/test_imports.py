@@ -1,8 +1,9 @@
-"""Every name a package module imports at module level is used in it.
+"""Every name a package module imports at module level is used in it,
+and every module-level private name is read somewhere in the package.
 
 No linter ships with the project, so this parses each module with
 ``ast``. ``__init__.py`` (re-exports) and ``from __future__`` imports are
-skipped.
+skipped by the import check.
 """
 
 import ast
@@ -37,3 +38,48 @@ def test_no_unused_module_imports(path):
 def test_check_sees_an_unused_import():
     source = "from itertools import groupby\nimport os\nos.getcwd()\n"
     assert _unused_imports(source) == ["groupby (line 1)"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and assignments."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        names[n.id] = node.lineno
+    return {n: line for n, line in names.items() if n.startswith("_") and not n.startswith("__")}
+
+
+def _stranded_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_no_stranded_private_names():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _stranded_private_names(sources) == []
+
+
+def test_check_sees_a_stranded_private_name():
+    sources = {
+        "a.py": "_TABLE = {1: 2}\n_used = 3\ndef _helper():\n    return _used\n",
+        "b.py": "from a import _helper\n_helper()\n",
+    }
+    assert _stranded_private_names(sources) == ["a.py: _TABLE (line 1)"]

@@ -1,15 +1,22 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fragsmith.brics import cut_bonds, find_brics_bonds
+from fragsmith.elements import DEFAULT_VALENCES, allowed_valences
 from fragsmith.molgraph import (
+    AROMATIC,
+    DOUBLE,
+    SINGLE,
+    TRIPLE,
     Atom,
     Bond,
     Molecule,
     SmilesError,
     _component_ranks,
+    _default_hydrogens,
     canonical_smiles,
     molecular_weight,
     parse_smiles,
@@ -21,7 +28,9 @@ from fragsmith.recombine import carbon_cap, rejoin
 
 from oracles import (
     component_ranks_reference,
+    default_hydrogens_reference,
     graph_isomorphic,
+    sigma_valence_reference,
     small_rings_reference,
     write_smiles_reference,
 )
@@ -282,13 +291,53 @@ def test_lazy_attributes_fill_on_first_read():
     m = parse_smiles("OC(=O)Cc1ccccc1.C1CC1")
     fresh = Molecule(atoms=m.atoms, bonds=m.bonds, source_text=m.source_text)
     names = ["neighbors", "ring_bonds", "ring_atoms", "components", "validity",
-             "small_rings", "atoms_by_kind"]
+             "small_rings", "atoms_by_kind", "kind_counts"]
     assert not set(names) & set(vars(fresh))
     for name in names:
         value = getattr(fresh, name)
         assert vars(fresh)[name] is value is getattr(fresh, name)
         assert value == getattr(m, name)
     assert fresh == m
+
+
+def test_default_hydrogens_equal_the_string_keyed_rule():
+    # Every valence-table element and one without an entry, aromatic or
+    # not, over every multiset of up to four bond orders.
+    for element in [*DEFAULT_VALENCES, "Fe"]:
+        for aromatic in (False, True):
+            for n in range(5):
+                for orders in combinations_with_replacement((SINGLE, DOUBLE, TRIPLE, AROMATIC), n):
+                    assert _default_hydrogens(element, aromatic, list(orders)) == (
+                        default_hydrogens_reference(element, aromatic, orders)
+                    ), (element, aromatic, orders)
+
+
+# Explicit aromatic bonds, most between atoms that stay aromatic-free,
+# and the number of atoms over their valence.
+@pytest.mark.parametrize("smi, over", [
+    ("C:C", 0), ("C:C:C", 0), ("O:C(:O)C", 0), ("S(:O)(:O)(:O):O", 0),
+    ("[CH4]:C", 1), ("[NH3]:C:N", 1), ("[cH3]1ccccc1", 1),
+])
+def test_validate_counts_an_aromatic_bond_as_one_sigma_slot(smi, over):
+    m = parse_smiles(smi)
+    expected = []
+    for i, a in enumerate(m.atoms):
+        total = sigma_valence_reference(m, i) + a.h_total
+        top = max(allowed_valences(a.element, a.formal_charge))
+        if total > top:
+            expected.append((i, f"{a.element} valence {total} exceeds {top}"))
+    assert len(expected) == over
+    assert [f for f in validate(m).failures if "valence" in f[1]] == expected
+
+
+@pytest.mark.parametrize("smi", ["C:[1*]", "[1*]:C:[2*]", "[1*]:C(:[2*])=O", "C=[1*]", "C#[1*]",
+                                 "c1ccccc1:[1*]", "[1*]:[2*]"])
+def test_carbon_cap_counts_an_aromatic_bond_as_one_sigma_slot(smi):
+    f = parse_smiles(smi)
+    capped = carbon_cap(f)
+    for i, a in enumerate(f.atoms):
+        if a.is_dummy:
+            assert capped.atoms[i].h_total == max(0, 4 - sigma_valence_reference(f, i)), i
 
 
 CAGES = [

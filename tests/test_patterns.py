@@ -1,7 +1,7 @@
 import pytest
 
 from fragsmith.metrics import _KEY_PATTERNS
-from fragsmith.molgraph import parse_smiles
+from fragsmith.molgraph import DOUBLE, TRIPLE, parse_smiles
 from fragsmith.patterns import PatternError, compile_pattern, has_match, match_at
 
 
@@ -96,24 +96,37 @@ def test_pattern_errors(bad):
 
 
 def test_root_hint_extraction():
-    assert compile_pattern("[C;D3]").root_element == "C"
-    assert compile_pattern("c1ccccc1").root_element == "C"
-    assert compile_pattern("c1ccccc1").root_aromatic is True
-    assert compile_pattern("[C,N]").root_element is None
-    assert compile_pattern("[#6]").root_element is None
-    assert compile_pattern("[Se]").root_element == "Se"
-    assert compile_pattern("Sc").root_element == "S"
+    assert compile_pattern("[C;D3]").root_kind == ("C", False)
+    assert compile_pattern("c1ccccc1").root_kind == ("C", True)
+    assert compile_pattern("[C,N]").root_kind is None
+    assert compile_pattern("[#6]").root_kind is None
+    assert compile_pattern("[Se]").root_kind == ("Se", False)
+    assert compile_pattern("Sc").root_kind == ("S", False)
+
+
+# ``Pattern.required`` keys: an atom kind (element, aromatic), a ring
+# node's (kind, "@") and a bond_kind (kind, order, kind).
+def atom_kinds(text):
+    return {k: n for k, n in compile_pattern(text).required.items() if isinstance(k[0], str)}
+
+
+def ring_kinds(text):
+    return {k[0]: n for k, n in compile_pattern(text).required.items() if k[1:] == ("@",)}
+
+
+def bond_kinds(text):
+    return {k: n for k, n in compile_pattern(text).required.items() if len(k) == 3}
 
 
 def test_required_atom_kinds():
-    assert compile_pattern("c1ccncc1").required == {("C", True): 5, ("N", True): 1}
-    assert compile_pattern("[C;D3](=O)[O;H1]").required == {("C", False): 1, ("O", False): 2}
-    assert compile_pattern("[N;!R;$(N[C]=O)]").required == {("N", False): 1}
-    assert compile_pattern("[C,C;R]").required == {("C", False): 1}
+    assert atom_kinds("c1ccncc1") == {("C", True): 5, ("N", True): 1}
+    assert atom_kinds("[C;D3](=O)[O;H1]") == {("C", False): 1, ("O", False): 2}
+    assert atom_kinds("[N;!R;$(N[C]=O)]") == {("N", False): 1}
+    assert atom_kinds("[C,C;R]") == {("C", False): 1}
     assert compile_pattern("[C,N]").required == {}
     assert compile_pattern("[!C]").required == {}
-    assert compile_pattern("[#6]O").required == {("O", False): 1}
-    assert compile_pattern("[#6]O").root_element is None
+    assert atom_kinds("[#6]O") == {("O", False): 1}
+    assert compile_pattern("[#6]O").root_kind is None
 
 
 def test_filtered_has_match_equals_scan_of_every_atom(corpus_lines):
@@ -127,15 +140,20 @@ def test_filtered_has_match_equals_scan_of_every_atom(corpus_lines):
 
 def test_required_bonds_and_ring_kinds():
     c, o, ar = ("C", False), ("O", False), ("C", True)
-    assert compile_pattern("C=O").required_bonds == {(c, "double", o): 1}
-    assert compile_pattern("O=C=O").required_bonds == {(c, "double", o): 2}
-    assert compile_pattern("CC#C").required_bonds == {(c, "triple", c): 1}
+    assert bond_kinds("C=O") == {(c, DOUBLE, o): 1}
+    assert bond_kinds("O=C=O") == {(c, DOUBLE, o): 2}
+    assert bond_kinds("CC#C") == {(c, TRIPLE, c): 1}
     # a closure repeating its anchor bond is one molecule bond
-    assert compile_pattern("C=1=O1").required_bonds == {(c, "double", o): 1}
-    assert compile_pattern("[C,N]=O").required_bonds == {}
-    assert compile_pattern("C=;@C").required_bonds == {}
-    assert compile_pattern("c1ccccc1").required_ring == {ar: 6}
-    assert compile_pattern("CC1CC1C").required_ring == {c: 3}
-    assert compile_pattern("[#6]1CC1").required_ring == {c: 2}
-    assert compile_pattern("C1C1").required_ring == {}
-    assert compile_pattern("CC11").required_ring == {}
+    assert bond_kinds("C=1=O1") == {(c, DOUBLE, o): 1}
+    assert bond_kinds("[C,N]=O") == {}
+    assert bond_kinds("C=;@C") == {}
+    assert ring_kinds("c1ccccc1") == {ar: 6}
+    assert ring_kinds("CC1CC1C") == {c: 3}
+    assert ring_kinds("[#6]1CC1") == {c: 2}
+    assert ring_kinds("C1C1") == {}
+
+
+@pytest.mark.parametrize("text", ["C11", "CC11", "C(C11)O"])
+def test_ring_closure_onto_its_own_node_rejected(text):
+    with pytest.raises(PatternError, match="to itself"):
+        compile_pattern(text)
