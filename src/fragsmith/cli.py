@@ -161,10 +161,7 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
                 "records": manifest.total_records,
                 "shards": len(manifest.shards),
                 "pairs": counters.emitted_pairs,
-                "skipped_no_cut": counters.skipped_no_cut,
-                "skipped_unparseable": counters.skipped_unparseable,
-                "skipped_filtered": counters.skipped_filtered,
-                "skipped_malformed": counters.skipped_malformed,
+                **counters.__dict__,
             },
             indent=2,
         )

@@ -1,19 +1,26 @@
 """Molecular graphs from SMILES: parsing, validation, canonical serialization.
 
-The supported SMILES subset covers the organic subset, bracket atoms with
-isotopes/charges/explicit hydrogens, ring closures (including %nn), dot
-disconnections, and dummy atoms ``[n*]`` carrying link labels 1..16.
-Stereo markers (/, \\, @, @@) are parsed and preserved as annotations but
-never interpreted; the canonical writer omits them.
+The supported SMILES subset covers the organic subset, bracket atoms,
+ring closures (including %nn), dot disconnections, and dummy atoms
+``[n*]`` carrying link labels 1..16. A bracket atom is ``[`` isotope?
+symbol chirality? H-count? charge? class? ``]``: the symbol is ``*``, an
+element (two letters only where the pair names one) or an aromatic
+``b c n o p s se as``; a charge is ``+``, ``++`` or ``+2`` (likewise
+``-``); the atom class is read and dropped. Only ASCII ``0``-``9`` count
+as digits. Stereo markers (/, \\, @, @@) are parsed and preserved as
+annotations but never interpreted; the canonical writer omits them.
 
 Kekule-form rings that pass a Huckel electron count are normalized to
 aromatic form at parse time, so alternative serializations of the same
-aromatic system produce identical graphs.
+aromatic system produce identical graphs. An explicit ``:`` bond between
+atoms that are not both aromatic is kept, written back as ``:``, and
+reported by :func:`validate`.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .elements import (
@@ -295,7 +302,19 @@ def _bridges(m: Molecule) -> set[int]:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TWO_LETTER = ("Cl", "Br")
+# Unbracketed atom symbol -> (element, aromatic).
+_ORGANIC = {
+    **{el: (el, False) for el in (*ORGANIC_SUBSET, DUMMY)},
+    **{sym: (sym.upper(), True) for sym in AROMATIC_ORGANIC},
+}
+# One SMILES token: a bracket atom, Cl or Br, a %nn ring closure, or any
+# one character (so an unclosed "[" or a bare "%" is a token of its own).
+_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9][0-9]|.", re.S)
+# The inside of a bracket atom: isotope, symbol, chirality, hydrogen
+# count, charge and an atom class, which is discarded.
+_BRACKET = re.compile(
+    r"([0-9]*)(\*|[A-Z][a-z]?|se|as|[a-z])(@*)(H[0-9]*)?([+-][0-9]+|\++|-+)?(?::[0-9]+)?"
+)
 
 
 @dataclass
@@ -311,93 +330,35 @@ class _WorkAtom:
     bracket: bool = False
 
 
-def _parse_bracket(body: str, offset: int) -> _WorkAtom:
-    """Parse the inside of a bracket atom: isotope symbol stereo H charge."""
-    i = 0
-    n = len(body)
-    isotope = None
-    if i < n and body[i].isdigit():
-        j = i
-        while j < n and body[j].isdigit():
-            j += 1
-        isotope = int(body[i:j])
-        i = j
-    if i < n and body[i] == DUMMY:
-        sym, aromatic = DUMMY, False
-        i += 1
-    else:
-        if i + 1 < n and body[i : i + 2] in ATOMIC_WEIGHTS and body[i].isupper():
-            sym = body[i : i + 2]
-            i += 2
-        elif i < n and body[i].isupper():
-            sym = body[i]
-            i += 1
-        elif i < n and body[i].islower():
-            sym = body[i]
-            i += 1
-        else:
-            raise SmilesError(f"bad bracket atom [{body}]", offset)
-        aromatic = sym[0].islower()
-        if aromatic:
-            cap = sym.capitalize()
-            if cap not in AROMATIC_ELEMENTS:
-                raise SmilesError(f"element {sym!r} cannot be aromatic", offset)
-            sym = cap
-        if sym != "H" and sym not in ATOMIC_WEIGHTS:
-            raise SmilesError(f"unknown element {sym!r}", offset)
-    stereo = None
-    if i < n and body[i] == "@":
-        j = i
-        while j < n and body[j] == "@":
-            j += 1
-        stereo = body[i:j]
-        i = j
-    hcount = 0
-    if i < n and body[i] == "H":
-        i += 1
-        j = i
-        while j < n and body[j].isdigit():
-            j += 1
-        hcount = int(body[i:j]) if j > i else 1
-        i = j
-    charge = 0
-    if i < n and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        ch = body[i]
-        j = i + 1
-        if j < n and body[j].isdigit():
-            k = j
-            while k < n and body[k].isdigit():
-                k += 1
-            charge = sign * int(body[j:k])
-            i = k
-        else:
-            count = 1
-            while j < n and body[j] == ch:
-                count += 1
-                j += 1
-            charge = sign * count
-            i = j
-    if i < n and body[i] == ":":
-        j = i + 1
-        while j < n and body[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise SmilesError(f"bad atom class in [{body}]", offset)
-        i = j  # atom maps are accepted and discarded
-    if i != n:
-        raise SmilesError(f"bad bracket atom [{body}]", offset)
+def parse_charge(spelling: str) -> int:
+    """Formal charge written as ``+``, ``++`` or ``+2`` (or with ``-``)."""
+    digits = spelling.lstrip("+-")
+    return (int(digits) if digits else len(spelling)) * (1 if spelling[0] == "+" else -1)
 
+
+def _parse_bracket(body: str, offset: int) -> _WorkAtom:
+    """Parse the inside of a bracket atom: isotope symbol stereo H charge class."""
+    match = _BRACKET.fullmatch(body)
+    if match is None:
+        raise SmilesError(f"bad bracket atom [{body}]", offset)
+    isotope, sym, stereo, hcount, charge = match.groups()
+    aromatic = sym.islower()
+    if aromatic:
+        sym = sym.capitalize()
+        if sym not in AROMATIC_ELEMENTS:
+            raise SmilesError(f"element {sym.lower()!r} cannot be aromatic", offset)
+    elif sym not in ATOMIC_WEIGHTS and sym != DUMMY:
+        raise SmilesError(f"unknown element {sym!r}", offset)
     atom = _WorkAtom(
-        element=sym, aromatic=aromatic, charge=charge, explicit_h=hcount,
-        isotope=isotope, stereo=stereo, bracket=True,
+        element=sym, aromatic=aromatic,
+        charge=parse_charge(charge) if charge else 0,
+        explicit_h=int(hcount[1:] or 1) if hcount else 0,
+        isotope=int(isotope) if isotope else None, stereo=stereo or None, bracket=True,
     )
-    if sym == DUMMY:
-        if isotope is not None:
-            if not 1 <= isotope <= 16:
-                raise SmilesError(f"dummy link label {isotope} outside 1..16", offset)
-            atom.link_label = isotope
-            atom.isotope = None
+    if sym == DUMMY and atom.isotope is not None:
+        if not 1 <= atom.isotope <= 16:
+            raise SmilesError(f"dummy link label {atom.isotope} outside 1..16", offset)
+        atom.link_label, atom.isotope = atom.isotope, None
     return atom
 
 
@@ -430,77 +391,56 @@ def parse_smiles(text: str) -> Molecule:
         bond_pairs.add(pair)
         bonds.append((a, b, order, stereo))
 
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        new_atom: _WorkAtom | None = None
-        if ch == "[":
-            end = text.find("]", i + 1)
-            if end == -1:
+    # Each token spans text[i : last + 1]; an error points at i or last.
+    last = -1
+    for tok in _TOKEN.findall(text):
+        i = last + 1
+        last += len(tok)
+        ch = tok[0]
+        if tok in _ORGANIC:
+            new_atom = _WorkAtom(*_ORGANIC[tok])
+        elif ch == "[":
+            if tok == "[":
                 raise SmilesError("unterminated bracket atom", i)
-            new_atom = _parse_bracket(text[i + 1 : end], i)
-            i = end + 1
-        elif text[i : i + 2] in _TWO_LETTER:
-            new_atom = _WorkAtom(element=text[i : i + 2])
-            i += 2
-        elif ch in "BCNOPSFI":
-            new_atom = _WorkAtom(element=ch)
-            i += 1
-        elif ch in "bcnops":
-            new_atom = _WorkAtom(element=ch.upper(), aromatic=True)
-            i += 1
-        elif ch == DUMMY:
-            new_atom = _WorkAtom(element=DUMMY)
-            i += 1
-        elif ch in BOND_ORDERS:
+            new_atom = _parse_bracket(tok[1:-1], i)
+        elif tok in BOND_ORDERS:
             if pending_bond is not None:
                 raise SmilesError("two bond symbols in a row", i)
-            pending_bond = BOND_ORDERS[ch]
-            i += 1
+            pending_bond = BOND_ORDERS[tok]
             continue
-        elif ch in "/\\":
-            pending_stereo = ch
-            i += 1
+        elif tok in ("/", "\\"):
+            pending_stereo = tok
             continue
-        elif ch == "(":
+        elif tok == "(":
             if prev is None:
                 raise SmilesError("branch before any atom", i)
             branch_stack.append(prev)
-            i += 1
             continue
-        elif ch == ")":
+        elif tok == ")":
             if not branch_stack:
                 raise SmilesError("unmatched ')'", i)
             prev = branch_stack.pop()
-            i += 1
             continue
-        elif ch == ".":
+        elif tok == ".":
             if pending_bond is not None:
                 raise SmilesError("bond symbol before '.'", i)
             prev = None
             pending_stereo = None
-            i += 1
             continue
-        elif ch.isdigit() or ch == "%":
-            if ch == "%":
-                if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
-                    raise SmilesError("'%' needs two digits", i)
-                num = int(text[i + 1 : i + 3])
-                i += 3
-            else:
-                num = int(ch)
-                i += 1
+        elif ch in "%0123456789":
+            if tok == "%":
+                raise SmilesError("'%' needs two digits", i)
+            num = int(tok.lstrip("%"))
             if prev is None:
-                raise SmilesError("ring closure before any atom", i - 1)
+                raise SmilesError("ring closure before any atom", last)
             if num in ring_open:
                 other, order0, stereo0, _ = ring_open.pop(num)
                 order = pending_bond if pending_bond is not None else order0
                 if order0 is not None and pending_bond is not None and order0 != pending_bond:
-                    raise SmilesError(f"conflicting orders on ring closure {num}", i - 1)
-                add_bond(other, prev, order, stereo0 or pending_stereo, i - 1)
+                    raise SmilesError(f"conflicting orders on ring closure {num}", last)
+                add_bond(other, prev, order, stereo0 or pending_stereo, last)
             else:
-                ring_open[num] = (prev, pending_bond, pending_stereo, i - 1)
+                ring_open[num] = (prev, pending_bond, pending_stereo, last)
             pending_bond = None
             pending_stereo = None
             continue
@@ -510,9 +450,9 @@ def parse_smiles(text: str) -> Molecule:
         idx = len(atoms)
         atoms.append(new_atom)
         if prev is not None:
-            add_bond(prev, idx, pending_bond, pending_stereo, i - 1)
+            add_bond(prev, idx, pending_bond, pending_stereo, last)
         elif pending_bond is not None:
-            raise SmilesError("dangling bond symbol", i - 1)
+            raise SmilesError("dangling bond symbol", last)
         pending_bond = None
         pending_stereo = None
         prev = idx
@@ -521,9 +461,9 @@ def parse_smiles(text: str) -> Molecule:
         num, (_, _, _, off) = min(ring_open.items(), key=lambda kv: kv[1][3])
         raise SmilesError(f"unmatched ring closure {num}", off)
     if branch_stack:
-        raise SmilesError("unmatched '('", n - 1)
+        raise SmilesError("unmatched '('", last)
     if pending_bond is not None:
-        raise SmilesError("dangling bond symbol", n - 1)
+        raise SmilesError("dangling bond symbol", last)
     if not atoms:
         raise SmilesError("no atoms in SMILES", 0)
 
@@ -718,12 +658,6 @@ def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> N
             for ring in group:
                 try_aromatize([ring])
 
-    # Refresh adjacency and re-demote any stray aromatic orders between
-    # atoms that stayed non-aromatic (defensive; should not trigger).
-    for bi, (a, b, _, _) in enumerate(raw_bonds):
-        if orders[bi] == AROMATIC and not (work[a].aromatic and work[b].aromatic):
-            orders[bi] = SINGLE
-
 
 # ---------------------------------------------------------------------------
 # Validation and measurement
@@ -906,17 +840,15 @@ def _atom_token(m: Molecule, i: int) -> str:
 
 def _bond_token(m: Molecule, bi: int) -> str:
     bond = m.bonds[bi]
-    a, b = bond.endpoints
-    if bond.order == SINGLE:
-        both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
-        if both_aromatic and bi in m.ring_bonds:
-            return "-"
-        return ""
     if bond.order == DOUBLE:
         return "="
     if bond.order == TRIPLE:
         return "#"
-    return ""
+    a, b = bond.endpoints
+    both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
+    if bond.order == SINGLE:
+        return "-" if both_aromatic and bi in m.ring_bonds else ""
+    return "" if both_aromatic else ":"
 
 
 def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) -> str:

@@ -18,12 +18,15 @@ molecule atom, remaining atoms are assigned by backtracking.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .elements import ATOMIC_NUMBERS
-from .molgraph import AROMATIC, BOND_ORDERS, DOUBLE, Molecule, SINGLE, TRIPLE, bond_kind
+from .molgraph import (
+    AROMATIC, BOND_ORDERS, DOUBLE, Molecule, SINGLE, TRIPLE, bond_kind, parse_charge,
+)
 
 AtomTest = Callable[[Molecule, int], bool]
 BondTest = Callable[[Molecule, int], bool]
@@ -132,92 +135,74 @@ def _elem_test(symbol: str, aromatic: bool | None) -> AtomTest:
     return test
 
 
+# Primitives that take no argument.
+_FIXED_PRIMS: dict[str, AtomTest] = {
+    "*": lambda m, idx: True,
+    "a": lambda m, idx: m.atoms[idx].aromatic,
+    "A": lambda m, idx: not m.atoms[idx].aromatic,
+    "R": lambda m, idx: idx in m.ring_atoms,
+    "R0": lambda m, idx: idx not in m.ring_atoms,
+}
+# One atom primitive: a fixed one; #n, Dn or Hn; a charge; the start of a
+# recursive $(...); an element symbol (a two-letter one is checked
+# against the element table after the match).
+_PRIMITIVE = re.compile(
+    r"([*aA]|R0?)|([#DH])([0-9]*)|([+-][0-9]+|\++|-+)|(\$\()|([A-Z][a-z]?|[a-z])"
+)
+# Both brackets of each kind, for finding the one that closes an opener.
+_NESTING = {"(": re.compile(r"[()]"), "[": re.compile(r"[\[\]]")}
+
+
+def _closing(text: str, start: int) -> int:
+    """Index just past the bracket that closes the ``(`` or ``[`` at
+    ``text[start]``, or -1 when it is never closed."""
+    opener, depth = text[start], 0
+    for m in _NESTING[opener].finditer(text, start):
+        depth += 1 if m.group() == opener else -1
+        if not depth:
+            return m.end()
+    return -1
+
+
 def _scan_primitive(
     expr: str, i: int, in_bracket: bool = True
 ) -> tuple[AtomTest, AtomKind, int]:
     """Compile the primitive at ``expr[i]``; return its test, the atom
     kind it pins (element symbols only) and the index after it."""
-    ch = expr[i]
-    if ch == "*":
-        return (lambda m, idx: True), None, i + 1
-    if ch == "a":
-        return (lambda m, idx: m.atoms[idx].aromatic), None, i + 1
-    if ch == "A":
-        return (lambda m, idx: not m.atoms[idx].aromatic), None, i + 1
-    if ch == "#":
-        j = i + 1
-        while j < len(expr) and expr[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise PatternError(f"'#' needs digits in {expr!r}")
-        num = int(expr[i + 1 : j])
-        return (lambda m, idx, n=num: _atomic_number(m, idx) == n), None, j
-    if ch == "D":
-        j = i + 1
-        while j < len(expr) and expr[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise PatternError(f"'D' needs a digit in {expr!r}")
-        num = int(expr[i + 1 : j])
-        return (lambda m, idx, n=num: m.degree(idx) == n), None, j
-    if ch == "H":
-        j = i + 1
-        while j < len(expr) and expr[j].isdigit():
-            j += 1
-        num = int(expr[i + 1 : j]) if j > i + 1 else 1
-        return (lambda m, idx, n=num: m.atoms[idx].h_total == n), None, j
-    if ch == "R":
-        if i + 1 < len(expr) and expr[i + 1] == "0":
-            return (lambda m, idx: idx not in m.ring_atoms), None, i + 2
-        return (lambda m, idx: idx in m.ring_atoms), None, i + 1
-    if ch in "+-":
-        sign = 1 if ch == "+" else -1
-        j = i + 1
-        if j < len(expr) and expr[j].isdigit():
-            k = j
-            while k < len(expr) and expr[k].isdigit():
-                k += 1
-            val = sign * int(expr[j:k])
-            return (lambda m, idx, v=val: m.atoms[idx].formal_charge == v), None, k
-        count = 1
-        while j < len(expr) and expr[j] == ch:
-            count += 1
-            j += 1
-        val = sign * count
-        return (lambda m, idx, v=val: m.atoms[idx].formal_charge == v), None, j
-    if ch == "$":
-        if i + 1 >= len(expr) or expr[i + 1] != "(":
-            raise PatternError(f"'$' needs '(...)' in {expr!r}")
-        depth = 0
-        j = i + 1
-        while j < len(expr):
-            if expr[j] == "(":
-                depth += 1
-            elif expr[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if depth != 0:
+    match = _PRIMITIVE.match(expr, i)
+    if match is None:
+        raise PatternError(f"bad atom primitive at {expr[i:]!r}")
+    fixed, op, num, charge, recursive, sym = match.groups()
+    end = match.end()
+    if fixed:
+        return _FIXED_PRIMS[fixed], None, end
+    if op:
+        if not num and op != "H":
+            raise PatternError(f"{op!r} needs digits in {expr!r}")
+        n = int(num or 1)
+        if op == "#":
+            return (lambda m, idx: _atomic_number(m, idx) == n), None, end
+        if op == "D":
+            return (lambda m, idx: m.degree(idx) == n), None, end
+        return (lambda m, idx: m.atoms[idx].h_total == n), None, end
+    if charge:
+        val = parse_charge(charge)
+        return (lambda m, idx: m.atoms[idx].formal_charge == val), None, end
+    if recursive:
+        end = _closing(expr, i + 1)
+        if end < 0:
             raise PatternError(f"unbalanced '$(' in {expr!r}")
-        sub = compile_pattern(expr[i + 2 : j])
-        return (lambda m, idx, p=sub: match_at(p, m, idx)), None, j + 1
-    if ch.isupper():
-        two = expr[i : i + 2]
-        # Outside brackets only Cl/Br are two-letter symbols ("Sc" is
-        # sulfur followed by an aromatic carbon).
-        if len(two) == 2 and two[1].islower() and two in ATOMIC_NUMBERS:
-            if in_bracket or two in ("Cl", "Br"):
-                return _elem_test(two, False), (two, False), i + 2
-        if ch in ATOMIC_NUMBERS:
-            return _elem_test(ch, False), (ch, False), i + 1
-        raise PatternError(f"unknown element {ch!r} in {expr!r}")
-    if ch.islower():
-        sym = ch.upper()
-        if sym in ATOMIC_NUMBERS:
-            return _elem_test(sym, True), (sym, True), i + 1
-        raise PatternError(f"unknown aromatic element {ch!r} in {expr!r}")
-    raise PatternError(f"bad atom primitive at {expr[i:]!r}")
+        sub = compile_pattern(expr[i + 2 : end - 1])
+        return (lambda m, idx: match_at(sub, m, idx)), None, end
+    # Outside brackets only Cl/Br are two-letter symbols ("Sc" is sulfur
+    # followed by an aromatic carbon).
+    if len(sym) == 2 and not (sym in ATOMIC_NUMBERS and (in_bracket or sym in ("Cl", "Br"))):
+        sym = sym[0]
+    aromatic = sym.islower()
+    element = sym.upper() if aromatic else sym
+    if element not in ATOMIC_NUMBERS:
+        raise PatternError(f"unknown element {sym!r} in {expr!r}")
+    return _elem_test(element, aromatic), (element, aromatic), i + len(sym)
 
 
 def _first_kind(kinds) -> AtomKind:
@@ -229,13 +214,17 @@ def _compile_atom_expr(expr: str) -> tuple[AtomTest, AtomKind]:
 
     The kind is pinned when an AND-ed term pins it: a non-negated element
     primitive, or an OR whose alternatives all pin the same kind."""
-    # Tokenize into primitives and separators, respecting $() nesting.
-    items: list[tuple[str, AtomTest | None, AtomKind]] = []
+    # ';' splits AND groups; ',' splits OR alternatives inside a group;
+    # adjacent/&-joined primitives AND together inside an alternative.
+    groups: list[list[list[tuple[AtomTest, AtomKind]]]] = [[[]]]
     i = 0
     while i < len(expr):
         ch = expr[i]
         if ch in ";,&":
-            items.append((ch, None, None))
+            if ch == ";":
+                groups.append([[]])
+            elif ch == ",":
+                groups[-1].append([])
             i += 1
             continue
         neg = False
@@ -248,19 +237,7 @@ def _compile_atom_expr(expr: str) -> tuple[AtomTest, AtomKind]:
         if neg:
             test = (lambda m, idx, t=test: not t(m, idx))
             kind = None
-        items.append(("prim", test, kind))
-    # ';' splits AND groups; ',' splits OR alternatives inside a group;
-    # adjacent/&-joined primitives AND together inside an alternative.
-    groups: list[list[list[tuple[AtomTest, AtomKind]]]] = [[[]]]
-    for sep, test, kind in items:
-        if sep == ";":
-            groups.append([[]])
-        elif sep == ",":
-            groups[-1].append([])
-        elif sep == "&":
-            continue
-        else:
-            groups[-1][-1].append((test, kind))
+        groups[-1][-1].append((test, kind))
     and_tests: list[AtomTest] = []
     group_kinds: list[AtomKind] = []
     for group in groups:
@@ -299,23 +276,12 @@ def compile_pattern(text: str) -> Pattern:
     while i < n:
         ch = text[i]
         if ch == "[":
-            depth = 1
-            j = i + 1
-            while j < n and depth:
-                if text[j] == "[":
-                    depth += 1
-                elif text[j] == "]":
-                    depth -= 1
-                j += 1
-            if depth:
+            j = _closing(text, i)
+            if j < 0:
                 raise PatternError(f"unterminated '[' in {text!r}")
             test, kind = _compile_atom_expr(text[i + 1 : j - 1])
             i = j
-        elif ch in "-=#:~@!":
-            pending += ch
-            i += 1
-            continue
-        elif ch in ";,&":
+        elif ch in "-=#:~@!;,&":
             pending += ch
             i += 1
             continue
@@ -331,7 +297,7 @@ def compile_pattern(text: str) -> Pattern:
             prev = branch_stack.pop()
             i += 1
             continue
-        elif ch.isdigit():
+        elif ch in "0123456789":
             num = int(ch)
             if prev is None:
                 raise PatternError(f"ring digit before atom in {text!r}")

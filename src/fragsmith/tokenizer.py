@@ -94,6 +94,11 @@ class Vocab:
             raise TokenizerError("tokens and classes length mismatch")
         if len(set(self.tokens)) != len(self.tokens):
             raise DuplicateTokenError("vocabulary contains duplicate tokens")
+        # Only group tokens may span several atom units: then greedy
+        # matching with groups is never longer than without them.
+        for tok, cls in zip(self.tokens, self.classes):
+            if cls not in (CLASS_GROUP, CLASS_SPECIAL) and _split_units(tok) != [(0, len(tok))]:
+                raise TokenizerError(f"{cls} token {tok!r} is not exactly one atom unit")
 
     @cached_property
     def lookup(self) -> dict[str, int]:
@@ -191,18 +196,12 @@ def read_group_file(path: str | Path | None = None) -> list[str]:
     return out
 
 
-def build_vocab(
-    group_file: str | Path | None = None,
-    base_rules: list[str] | None = None,
-) -> Vocab:
+def build_vocab(group_file: str | Path | None = None) -> Vocab:
     """Assemble the multi-scale vocabulary.
 
     ``group_file`` defaults to the shipped 180-entry table; pass a path
-    to substitute it. ``base_rules`` overrides the default base token
-    inventory (rarely needed). Duplicate tokens anywhere raise
-    DuplicateTokenError.
+    to substitute it. Duplicate tokens anywhere raise DuplicateTokenError.
     """
-    base = list(base_rules) if base_rules is not None else _default_base_tokens()
     groups = read_group_file(group_file)
 
     tokens: list[str] = []
@@ -220,7 +219,7 @@ def build_vocab(
         add(tok, CLASS_SPECIAL)
     for tok in DUMMY_TOKENS:
         add(tok, CLASS_DUMMY)
-    for tok in base:
+    for tok in _default_base_tokens():
         add(tok, CLASS_BASE)
     for tok in groups:
         add(tok, CLASS_GROUP)
@@ -233,9 +232,7 @@ class TokenStream:
     source_kind: str
 
 
-def _encode_component(
-    text: str, v: Vocab, *, allow_groups: bool
-) -> tuple[list[int], bool]:
+def _encode_component(text: str, v: Vocab) -> list[int]:
     """Greedy longest-match over one dot-free component.
 
     Multi-unit tokens must start and end on atom-unit boundaries; inside
@@ -252,39 +249,30 @@ def _encode_component(
 
     lengths, lookup = v.lengths_by_first, v.lookup
     ids: list[int] = []
-    used_group = False
     i = 0
     n = len(text)
     while i < n:
-        matched = None
         for L in lengths.get(text[i], ()):
             if L > n - i:
                 continue
             idx = lookup.get(text[i : i + L])
             if idx is None:
                 continue
-            cls = v.classes[idx]
-            if cls == CLASS_GROUP and not allow_groups:
-                continue
-            if cls == CLASS_SPECIAL:
+            if v.classes[idx] == CLASS_SPECIAL:
                 continue  # framing tokens are never read from payload text
             aligned = i in boundaries and (i + L) in boundaries
             if not aligned:
                 b = bracket_of[i]
                 if b == -1 or L > 1 or bracket_of[i + L - 1] != b:
                     continue
-            matched = (idx, L, cls)
             break
-        if matched is None:
+        else:
             raise UntokenizableError(
                 f"character {text[i]!r} at position {i} is outside the base rules"
             )
-        idx, L, cls = matched
-        if cls == CLASS_GROUP:
-            used_group = True
         ids.append(idx)
         i += L
-    return ids, used_group
+    return ids
 
 
 def tokenize(
@@ -297,9 +285,9 @@ def tokenize(
     """Tokenize a SMILES string or dot-joined set.
 
     Each dot-separated component is wrapped in the begin/end specials of
-    ``kind``. Greedy longest-match runs over the vocabulary; when group
-    tokens would (pathologically) lengthen a component, the base
-    segmentation is used instead so group tokens never hurt.
+    ``kind``. Greedy longest-match runs over the vocabulary; since every
+    token but a group token is one atom unit, group tokens never make a
+    component longer than base tokens alone would.
     """
     if kind not in (MOLECULE, FRAGMENT_SET):
         raise ValueError(f"kind must be {MOLECULE!r} or {FRAGMENT_SET!r}")
@@ -311,13 +299,8 @@ def tokenize(
 
     ids: list[int] = []
     for comp in text.split("."):
-        comp_ids, used_group = _encode_component(comp, v, allow_groups=True)
-        if used_group:
-            base_ids, _ = _encode_component(comp, v, allow_groups=False)
-            if len(base_ids) < len(comp_ids):
-                comp_ids = base_ids
         ids.append(begin)
-        ids.extend(comp_ids)
+        ids.extend(_encode_component(comp, v))
         ids.append(end)
     return TokenStream(tokens=tuple(ids), source_kind=kind)
 

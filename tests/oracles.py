@@ -7,13 +7,16 @@ formula, a BRICS labelling that scans every atom with every rule, the
 first dict-based canonical ranking, the two-pass canonical writer, the
 per-bond small-ring search, an all-lengths longest-match tokenizer, the
 stack-based linear-path fingerprint walk, the closure-based anchored
-pattern matcher, and the string-keyed implicit-hydrogen and sigma-valence
-rules. The BRICS scan reuses the pattern matcher: what it checks is
-which atoms and rules get tried, not how one match is made. The writer
-reuses the parser's implicit-hydrogen rule to decide when an atom needs
-brackets. The path walk reuses the package's atom hash inputs, and the
-matcher its compiled atom and bond tests (``$()`` tests call the
-package matcher): each pins the walk, not the inputs.
+pattern matcher, the string-keyed implicit-hydrogen and sigma-valence
+rules, and the character-scanning SMILES lexer. The BRICS scan reuses
+the pattern matcher: what it checks is which atoms and rules get tried,
+not how one match is made. The writer reuses the parser's
+implicit-hydrogen rule to decide when an atom needs brackets. The path
+walk reuses the package's atom hash inputs, and the matcher its compiled
+atom and bond tests (``$()`` tests call the package matcher): each pins
+the walk, not the inputs. The lexer hands its atoms and bonds to the
+package's ``_assemble``: it pins the reading of the text, not the graph
+built from it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from fragsmith.molgraph import AROMATIC, DOUBLE, SINGLE, TRIPLE
+from fragsmith.elements import AROMATIC_ELEMENTS, ATOMIC_WEIGHTS, DUMMY
+from fragsmith.molgraph import (
+    AROMATIC,
+    BOND_ORDERS,
+    DOUBLE,
+    SINGLE,
+    TRIPLE,
+    Molecule,
+    SmilesError,
+    _assemble,
+    _WorkAtom,
+)
 
 
 def _atom_key(mol, i):
@@ -613,3 +627,228 @@ def default_hydrogens_reference(element, aromatic, orders):
 
 def sigma_valence_reference(m, i):
     return sum(_SIGMA_VALUE[_ORDER_NAME[m.bonds[bi].order]] for _, bi in m.neighbors[i])
+
+
+# The character-scanning SMILES parser as it stood before the lexer was
+# compiled to regular expressions, verbatim but for its name; it hands
+# its atoms and bonds to the package's ``_assemble``.
+_TWO_LETTER = ("Cl", "Br")
+
+
+def _parse_bracket(body: str, offset: int) -> _WorkAtom:
+    """Parse the inside of a bracket atom: isotope symbol stereo H charge."""
+    i = 0
+    n = len(body)
+    isotope = None
+    if i < n and body[i].isdigit():
+        j = i
+        while j < n and body[j].isdigit():
+            j += 1
+        isotope = int(body[i:j])
+        i = j
+    if i < n and body[i] == DUMMY:
+        sym, aromatic = DUMMY, False
+        i += 1
+    else:
+        if i + 1 < n and body[i : i + 2] in ATOMIC_WEIGHTS and body[i].isupper():
+            sym = body[i : i + 2]
+            i += 2
+        elif i < n and body[i].isupper():
+            sym = body[i]
+            i += 1
+        elif i < n and body[i].islower():
+            sym = body[i]
+            i += 1
+        else:
+            raise SmilesError(f"bad bracket atom [{body}]", offset)
+        aromatic = sym[0].islower()
+        if aromatic:
+            cap = sym.capitalize()
+            if cap not in AROMATIC_ELEMENTS:
+                raise SmilesError(f"element {sym!r} cannot be aromatic", offset)
+            sym = cap
+        if sym != "H" and sym not in ATOMIC_WEIGHTS:
+            raise SmilesError(f"unknown element {sym!r}", offset)
+    stereo = None
+    if i < n and body[i] == "@":
+        j = i
+        while j < n and body[j] == "@":
+            j += 1
+        stereo = body[i:j]
+        i = j
+    hcount = 0
+    if i < n and body[i] == "H":
+        i += 1
+        j = i
+        while j < n and body[j].isdigit():
+            j += 1
+        hcount = int(body[i:j]) if j > i else 1
+        i = j
+    charge = 0
+    if i < n and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        ch = body[i]
+        j = i + 1
+        if j < n and body[j].isdigit():
+            k = j
+            while k < n and body[k].isdigit():
+                k += 1
+            charge = sign * int(body[j:k])
+            i = k
+        else:
+            count = 1
+            while j < n and body[j] == ch:
+                count += 1
+                j += 1
+            charge = sign * count
+            i = j
+    if i < n and body[i] == ":":
+        j = i + 1
+        while j < n and body[j].isdigit():
+            j += 1
+        if j == i + 1:
+            raise SmilesError(f"bad atom class in [{body}]", offset)
+        i = j  # atom maps are accepted and discarded
+    if i != n:
+        raise SmilesError(f"bad bracket atom [{body}]", offset)
+
+    atom = _WorkAtom(
+        element=sym, aromatic=aromatic, charge=charge, explicit_h=hcount,
+        isotope=isotope, stereo=stereo, bracket=True,
+    )
+    if sym == DUMMY:
+        if isotope is not None:
+            if not 1 <= isotope <= 16:
+                raise SmilesError(f"dummy link label {isotope} outside 1..16", offset)
+            atom.link_label = isotope
+            atom.isotope = None
+    return atom
+
+
+def parse_smiles_reference(text: str) -> Molecule:
+    """Parse a SMILES string into a Molecule.
+
+    Raises SmilesError (with byte offset) on syntax problems: unmatched
+    ring closures or brackets, unknown elements, misplaced bonds. Valence
+    problems are not raised here; see :func:`validate`.
+    """
+    if not text:
+        raise SmilesError("empty SMILES", 0)
+
+    atoms: list[_WorkAtom] = []
+    bonds: list[tuple[int, int, int | None, str | None]] = []  # a, b, order, stereo
+    prev: int | None = None
+    pending_bond: int | None = None
+    pending_stereo: str | None = None
+    branch_stack: list[int | None] = []
+    ring_open: dict[int, tuple[int, int | None, str | None, int]] = {}
+
+    bond_pairs: set[frozenset[int]] = set()
+
+    def add_bond(a: int, b: int, order: int | None, stereo: str | None, off: int) -> None:
+        if a == b:
+            raise SmilesError("ring closure bonds an atom to itself", off)
+        pair = frozenset((a, b))
+        if pair in bond_pairs:
+            raise SmilesError("duplicate bond between the same atoms", off)
+        bond_pairs.add(pair)
+        bonds.append((a, b, order, stereo))
+
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        new_atom: _WorkAtom | None = None
+        if ch == "[":
+            end = text.find("]", i + 1)
+            if end == -1:
+                raise SmilesError("unterminated bracket atom", i)
+            new_atom = _parse_bracket(text[i + 1 : end], i)
+            i = end + 1
+        elif text[i : i + 2] in _TWO_LETTER:
+            new_atom = _WorkAtom(element=text[i : i + 2])
+            i += 2
+        elif ch in "BCNOPSFI":
+            new_atom = _WorkAtom(element=ch)
+            i += 1
+        elif ch in "bcnops":
+            new_atom = _WorkAtom(element=ch.upper(), aromatic=True)
+            i += 1
+        elif ch == DUMMY:
+            new_atom = _WorkAtom(element=DUMMY)
+            i += 1
+        elif ch in BOND_ORDERS:
+            if pending_bond is not None:
+                raise SmilesError("two bond symbols in a row", i)
+            pending_bond = BOND_ORDERS[ch]
+            i += 1
+            continue
+        elif ch in "/\\":
+            pending_stereo = ch
+            i += 1
+            continue
+        elif ch == "(":
+            if prev is None:
+                raise SmilesError("branch before any atom", i)
+            branch_stack.append(prev)
+            i += 1
+            continue
+        elif ch == ")":
+            if not branch_stack:
+                raise SmilesError("unmatched ')'", i)
+            prev = branch_stack.pop()
+            i += 1
+            continue
+        elif ch == ".":
+            if pending_bond is not None:
+                raise SmilesError("bond symbol before '.'", i)
+            prev = None
+            pending_stereo = None
+            i += 1
+            continue
+        elif ch.isdigit() or ch == "%":
+            if ch == "%":
+                if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
+                    raise SmilesError("'%' needs two digits", i)
+                num = int(text[i + 1 : i + 3])
+                i += 3
+            else:
+                num = int(ch)
+                i += 1
+            if prev is None:
+                raise SmilesError("ring closure before any atom", i - 1)
+            if num in ring_open:
+                other, order0, stereo0, _ = ring_open.pop(num)
+                order = pending_bond if pending_bond is not None else order0
+                if order0 is not None and pending_bond is not None and order0 != pending_bond:
+                    raise SmilesError(f"conflicting orders on ring closure {num}", i - 1)
+                add_bond(other, prev, order, stereo0 or pending_stereo, i - 1)
+            else:
+                ring_open[num] = (prev, pending_bond, pending_stereo, i - 1)
+            pending_bond = None
+            pending_stereo = None
+            continue
+        else:
+            raise SmilesError(f"unexpected character {ch!r}", i)
+
+        idx = len(atoms)
+        atoms.append(new_atom)
+        if prev is not None:
+            add_bond(prev, idx, pending_bond, pending_stereo, i - 1)
+        elif pending_bond is not None:
+            raise SmilesError("dangling bond symbol", i - 1)
+        pending_bond = None
+        pending_stereo = None
+        prev = idx
+
+    if ring_open:
+        num, (_, _, _, off) = min(ring_open.items(), key=lambda kv: kv[1][3])
+        raise SmilesError(f"unmatched ring closure {num}", off)
+    if branch_stack:
+        raise SmilesError("unmatched '('", n - 1)
+    if pending_bond is not None:
+        raise SmilesError("dangling bond symbol", n - 1)
+    if not atoms:
+        raise SmilesError("no atoms in SMILES", 0)
+
+    return _assemble(atoms, bonds, text)

@@ -59,14 +59,15 @@ class TestFragmentCommand:
 
     def test_file_mode_reports_each_bad_line(self, capsys, tmp_path):
         path = tmp_path / "mols.smi"
-        path.write_text("CCO\nC1CC\nCC(C)(C)(C)C\nOCCCN1CCOCC1\n")
+        path.write_text("CCO\nC1CC\nCC(C)(C)(C)C\nC²\nOCCCN1CCOCC1\n")
         assert main(["fragment", "--file", str(path)]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out.count("cap=") == 2
         errors = captured.err.splitlines()
-        assert len(errors) == 2
+        assert len(errors) == 3
         assert errors[0].startswith(f"error[input]: {path}:2: unmatched ring closure 1")
         assert errors[1].startswith(f"error[input]: {path}:3: invalid molecule")
+        assert errors[2].startswith(f"error[input]: {path}:4: unexpected character '²'")
 
 
 class TestPreprocessCommand:
@@ -108,14 +109,16 @@ class TestBuildCommand:
             "CCO.CC(=O)O\tCC(=O)OCC\testerification\n"
             "CCN\tCCNC\n"
             "CN.CC(=O)O\tCC(=O)NC\tamidation\n"
+            "CCN\t\tamidation\n"
         )
         assert main([
             "build", "--library", str(lib), "--reactions", str(reactions),
             "--out", str(tmp_path / "d"),
         ]) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
-        assert summary["pairs"] == 2
+        assert summary["pairs"] == summary["emitted_pairs"] == 2
         assert summary["skipped_malformed"] == 1
+        assert summary["skipped_empty"] == 1
 
     def test_missing_library(self, tmp_path, capsys):
         assert main(["build", "--library", str(tmp_path / "no.tsv")]) == EXIT_IO
@@ -196,6 +199,16 @@ class TestEvalCommand:
         assert report["validity"] == round(2 / 3, 6)
         assert report["exact"] == round(2 / 3, 6)
         assert report["fts_skipped"] == 1
+
+    def test_non_ascii_digit_prediction_scores_invalid(self, tmp_path, capsys):
+        preds = tmp_path / "preds.txt"
+        refs = tmp_path / "refs.txt"
+        preds.write_text("C²\nCCO\n")
+        refs.write_text("CC\nCCO\n")
+        assert main(["eval", str(preds), str(refs)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["n"] == 2
+        assert report["validity"] == 0.5
 
     def test_blank_reference_names_line(self, tmp_path, capsys):
         # Blanks at different positions must not re-pair the other lines.

@@ -52,6 +52,12 @@ class TestPreprocess:
         lib = preprocess(["CC(C)(C)(C)C", "CCO"], vocab)
         assert lib.stats.validity_rejections == 1
 
+    def test_explicit_aromatic_bond_is_not_a_duplicate_of_the_single_bond(self, vocab):
+        lib = preprocess(["C:C", "CC"], vocab)
+        assert [r.canonical for r in lib.records] == ["CC"]
+        assert lib.stats.validity_rejections == 1
+        assert lib.stats.duplicates == 0
+
     def test_sorted_by_canonical(self, corpus_lines, vocab):
         lib = preprocess(corpus_lines[:50], vocab)
         canon = [r.canonical for r in lib.records]

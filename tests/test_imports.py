@@ -1,5 +1,6 @@
 """Every name a package module imports at module level is used in it,
-and every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package, and
+no module calls ``str.isdigit``.
 
 No linter ships with the project, so this parses each module with
 ``ast``. ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -83,3 +84,22 @@ def test_check_sees_a_stranded_private_name():
         "b.py": "from a import _helper\n_helper()\n",
     }
     assert _stranded_private_names(sources) == ["a.py: _TABLE (line 1)"]
+
+
+def _isdigit_calls(source: str) -> list[int]:
+    """Lines that call ``.isdigit()``: it accepts Unicode digits such as
+    "²", which ``int()`` then rejects with a ValueError."""
+    return [
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "isdigit"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_isdigit_calls(path):
+    assert _isdigit_calls(path.read_text()) == []
+
+
+def test_check_sees_an_isdigit_call():
+    source = "def f(s):\n    x = s.strip()\n    return x.isdigit() and int(x)\n"
+    assert _isdigit_calls(source) == [3]

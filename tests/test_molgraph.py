@@ -30,10 +30,12 @@ from oracles import (
     component_ranks_reference,
     default_hydrogens_reference,
     graph_isomorphic,
+    parse_smiles_reference,
     sigma_valence_reference,
     small_rings_reference,
     write_smiles_reference,
 )
+from test_parallel import FUZZ_TOKENS
 from test_random_graphs import molecule_graphs
 
 
@@ -62,11 +64,12 @@ class TestParse:
     @pytest.mark.parametrize(
         "bad",
         ["", "C(", "CC)", "[Zz]", "C=", "C==C", "%5C", "C11", "[C", "1CC",
-         "C.=C", "[17*]CC", "C12CC12"],
+         "C.=C", "[17*]CC", "C12CC12", "C²", "[CH²]", "[²C]", "C%1²", "[C+²]", "[CH３]"],
     )
     def test_syntax_errors(self, bad):
-        with pytest.raises(SmilesError):
+        with pytest.raises(SmilesError) as exc:
             parse_smiles(bad)
+        assert exc.value.offset is not None
 
     def test_bracket_atom_features(self):
         m = parse_smiles("[13CH3+]")
@@ -106,6 +109,64 @@ class TestParse:
     def test_percent_ring_closure(self):
         m = parse_smiles("C%10CCCCC%10")
         assert len(m.ring_atoms) == 6
+
+    @pytest.mark.parametrize("smi, element", [("c1cc[se]c1", "Se"), ("c1cc[as]c1", "As")])
+    def test_aromatic_two_letter_bracket_symbols(self, smi, element):
+        m = parse_smiles(smi)
+        assert (m.atoms[3].element, m.atoms[3].aromatic) == (element, True)
+        canon = canonical_smiles(m)
+        assert canonical_smiles(parse_smiles(canon)) == canon
+
+
+# The crash-guard fuzz tokens plus bracket atoms, ring-closure spellings
+# and a non-ASCII digit.
+_LEXER_TOKENS = [
+    *FUZZ_TOKENS, "[se]", "[C@@H]", "[NH3+]", "[O--]", "[Fe+2]", "[C:1]", "[C:]", "[17*]",
+    "[0*]", "%", "%1", "²",
+]
+
+
+def _parse_outcome(parse, text):
+    """The atoms, bonds and source text, or the offset of the SmilesError."""
+    try:
+        m = parse(text)
+    except SmilesError as exc:
+        return exc.offset
+    return m.atoms, m.bonds, m.source_text
+
+
+def test_lexer_equals_character_scanner(corpus_lines):
+    """The regex lexer reads every input as the character scanner did,
+    except where the scanner was wrong: it rejected the aromatic [se]
+    and [as], and crashed on digits outside ASCII, which now raise."""
+    inputs = list(corpus_lines)
+    for k, smi in enumerate(corpus_lines):
+        inputs += [randomized_smiles(parse_smiles(smi), 3 * k + r) for r in range(3)]
+    rng = random.Random(2031)
+    inputs += ["".join(rng.choice(_LEXER_TOKENS) for _ in range(rng.randint(1, 14)))
+               for _ in range(20_000)]
+    parsed = compared = 0
+    for text in inputs:
+        outcome = _parse_outcome(parse_smiles, text)
+        if any(ch.isdigit() and not ch.isascii() for ch in text):
+            assert isinstance(outcome, int), text
+        elif "[se]" not in text and "[as]" not in text:
+            assert outcome == _parse_outcome(parse_smiles_reference, text), text
+            compared += 1
+            parsed += not isinstance(outcome, int)
+    # 19,814 compared: every corpus input, and fuzz strings that both
+    # parse (about 1,950) and fail (about 13,000).
+    assert compared > 19_000
+    assert 4 * len(corpus_lines) + 1_000 < parsed < compared - 10_000
+
+
+@pytest.mark.parametrize("smi", ["C:C", "CC1CC1.C:C", "C1:C:C:C:C:C1"])
+def test_aromatic_bond_between_non_aromatic_atoms_invalid(smi):
+    m = parse_smiles(smi)
+    assert any(msg == "aromatic bond between non-aromatic atoms" for _, msg in validate(m).failures)
+    canon = canonical_smiles(m)
+    assert ":" in canon
+    assert canonical_smiles(parse_smiles(canon)) == canon
 
 
 class TestCanonical:

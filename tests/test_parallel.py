@@ -238,15 +238,18 @@ class TestSerialEqualsParallel:
         assert serial == pooled
 
 
+# SMILES tokens, some repeated to weight them, for random strings.
+FUZZ_TOKENS = ["C", "C", "C", "c", "N", "n", "O", "o", "S", "s", "P", "F", "Cl", "Br", "I",
+               "[nH]", "[N+]", "[O-]", "[13C]", "[2*]", "*", "(", ")", "=", "#", "-", ":", "/",
+               "\\", ".", "1", "1", "2", "%12", "[", "]", "@", "+", "H"]
+
+
 def test_smiles_alphabet_fuzz(default_params, monkeypatch):
     """Crash guard: 20,000 random strings over SMILES tokens through one
     evaluate call (which takes the pool path) and through fragment. Only
     SmilesError and FragmentationError may escape."""
-    tokens = ["C", "C", "C", "c", "N", "n", "O", "o", "S", "s", "P", "F", "Cl", "Br", "I",
-              "[nH]", "[N+]", "[O-]", "[13C]", "[2*]", "*", "(", ")", "=", "#", "-", ":", "/",
-              "\\", ".", "1", "1", "2", "%12", "[", "]", "@", "+", "H"]
     rng = random.Random(2027)
-    strings = ["".join(rng.choice(tokens) for _ in range(rng.randint(1, 14))) for _ in range(20_000)]
+    strings = ["".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(1, 14))) for _ in range(20_000)]
     reports = []
     for cpus in (1, 2):
         _fake_cpus(monkeypatch, cpus)

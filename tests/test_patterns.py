@@ -88,7 +88,7 @@ def test_branch_pattern():
 @pytest.mark.parametrize(
     "bad",
     ["", "[C", "C(", "C)", "[C;]", "[;C]", "[!]", "[$C]", "[D]", "1CC",
-     "C1CC", "[Zz]", "=C"],
+     "C1CC", "[Zz]", "=C", "[#６]", "[D²]"],
 )
 def test_pattern_errors(bad):
     with pytest.raises(PatternError):

@@ -12,6 +12,7 @@ from fragsmith.tokenizer import (
     SPECIAL_TOKENS,
     DuplicateTokenError,
     MalformedGroupError,
+    TokenizerError,
     TokenStream,
     UnknownTokenIdError,
     UntokenizableError,
@@ -84,6 +85,20 @@ class TestBuildVocab:
         path = tmp_path / "vocab.tsv"
         path.write_text("0\tbase\n")
         with pytest.raises(Exception):
+            Vocab.load(path)
+
+    @pytest.mark.parametrize("token, cls", [("CC", "base"), ("", "base"), ("[1*]C", "dummy")])
+    def test_non_group_token_must_be_one_unit(self, vocab, token, cls):
+        tokens, classes = (*vocab.tokens, token), (*vocab.classes, cls)
+        with pytest.raises(TokenizerError, match="not exactly one atom unit"):
+            Vocab(tokens=tokens, classes=classes)
+
+    def test_load_rejects_a_multi_unit_base_token(self, vocab, tmp_path):
+        path = tmp_path / "v.tsv"
+        vocab.save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(vocab.tokens)}\tbase\tNC\n")
+        with pytest.raises(TokenizerError, match="'NC' is not exactly one atom unit"):
             Vocab.load(path)
 
     def test_save_load_stable(self, vocab, tmp_path):
