@@ -12,9 +12,13 @@ annotations but never interpreted; the canonical writer omits them.
 
 Kekule-form rings that pass a Huckel electron count are normalized to
 aromatic form at parse time, so alternative serializations of the same
-aromatic system produce identical graphs. An explicit ``:`` bond between
-atoms that are not both aromatic is kept, written back as ``:``, and
-reported by :func:`validate`.
+aromatic system produce identical graphs. The ring search runs only
+when atoms that could be aromatic close a ring cycle not yet aromatic.
+An explicit ``:`` bond between atoms that are not both aromatic is kept,
+written back as ``:``, and reported by :func:`validate`. An aromatic
+bond between aromatic atoms outside any ring (``c1ccccc1:c1ccccc1``) is
+written as ``:`` too: unmarked, it would read back as biphenyl's single
+bond.
 """
 
 from __future__ import annotations
@@ -131,17 +135,12 @@ class Molecule:
     @_lazy
     def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-atom tuple of (neighbor atom index, bond index)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-        for bi, bond in enumerate(self.bonds):
-            a, b = bond.endpoints
-            adj[a].append((b, bi))
-            adj[b].append((a, bi))
-        return tuple(map(tuple, adj))
+        return _adjacency(len(self.atoms), [b.endpoints for b in self.bonds])
 
     @_lazy
     def ring_bonds(self) -> frozenset[int]:
         """Indices of bonds that lie on at least one cycle."""
-        return frozenset(range(len(self.bonds))) - _bridges(self)
+        return frozenset(range(len(self.bonds))) - _bridges(self.neighbors)
 
     @_lazy
     def ring_atoms(self) -> frozenset[int]:
@@ -174,34 +173,7 @@ class Molecule:
         never leads back to the ring, and stops after the level on which
         the far end is discovered, since a node's predecessor is fixed
         when it is discovered."""
-        ring_bonds = self.ring_bonds
-        ring_adj = [[nb for nb in nbrs if nb[1] in ring_bonds] for nbrs in self.neighbors]
-        rings: list[tuple[int, ...]] = []
-        seen: set[frozenset[int]] = set()
-        for bi in sorted(ring_bonds):
-            src, dst = self.bonds[bi].endpoints
-            prev = {src: -1}
-            frontier = [src]
-            for _ in range(7):  # paths of up to 7 bonds
-                nxt = []
-                for node in frontier:
-                    for j, bj in ring_adj[node]:
-                        if bj != bi and j not in prev:
-                            prev[j] = node
-                            nxt.append(j)
-                frontier = nxt
-                if dst in prev or not frontier:
-                    break
-            if dst not in prev:
-                continue
-            path = [dst]
-            while prev[path[-1]] != -1:
-                path.append(prev[path[-1]])
-            key = frozenset(path)
-            if key not in seen:
-                seen.add(key)
-                rings.append(tuple(reversed(path)))
-        return tuple(rings)
+        return _small_rings(self.neighbors, self.ring_bonds, [b.endpoints for b in self.bonds])
 
     @_lazy
     def atoms_by_kind(self) -> dict[tuple[str, bool], tuple[int, ...]]:
@@ -261,9 +233,48 @@ def connected_components(
     return tuple(comps)
 
 
-def _bridges(m: Molecule) -> set[int]:
-    """Bond indices whose removal disconnects the graph (iterative DFS)."""
-    nbrs = m.neighbors
+def _small_rings(neighbors, ring_bonds: frozenset[int], ends) -> tuple[tuple[int, ...], ...]:
+    """:attr:`Molecule.small_rings` from the adjacency, ring bonds and bond endpoints."""
+    ring_adj = [[nb for nb in nbrs if nb[1] in ring_bonds] for nbrs in neighbors]
+    rings: list[tuple[int, ...]] = []
+    seen: set[frozenset[int]] = set()
+    for bi in sorted(ring_bonds):
+        src, dst = ends[bi]
+        prev = {src: -1}
+        frontier = [src]
+        for _ in range(7):  # paths of up to 7 bonds
+            nxt = []
+            for node in frontier:
+                for j, bj in ring_adj[node]:
+                    if bj != bi and j not in prev:
+                        prev[j] = node
+                        nxt.append(j)
+            frontier = nxt
+            if dst in prev or not frontier:
+                break
+        if dst not in prev:
+            continue
+        path = [dst]
+        while prev[path[-1]] != -1:
+            path.append(prev[path[-1]])
+        key = frozenset(path)
+        if key not in seen:
+            seen.add(key)
+            rings.append(tuple(reversed(path)))
+    return tuple(rings)
+
+
+def _adjacency(n: int, ends) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per-atom (neighbour, bond index) tuples of ``n`` atoms and bond endpoints ``ends``."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for bi, (a, b) in enumerate(ends):
+        adj[a].append((b, bi))
+        adj[b].append((a, bi))
+    return tuple(map(tuple, adj))
+
+
+def _bridges(nbrs) -> set[int]:
+    """Bonds whose removal disconnects the graph of adjacency ``nbrs`` (iterative DFS)."""
     n = len(nbrs)
     disc = [-1] * n
     low = [0] * n
@@ -476,63 +487,30 @@ def _assemble(
     text: str,
 ) -> Molecule:
     """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
+    ends = [(a, b) for a, b, _, _ in raw_bonds]
+    neighbors = _adjacency(len(work), ends)
+    ring = frozenset(range(len(ends))) - _bridges(neighbors)
     orders: list[int] = []
-    for a, b, order, _ in raw_bonds:
+    for bi, (a, b, order, _) in enumerate(raw_bonds):
         if order is None:
-            order = AROMATIC if (work[a].aromatic and work[b].aromatic) else SINGLE
+            # Aromatic on a ring only: biphenyl's inter-ring bond is single.
+            order = AROMATIC if work[a].aromatic and work[b].aromatic and bi in ring else SINGLE
         orders.append(order)
 
-    # Provisional molecule to find ring membership, then demote default
-    # aromatic bonds that ended up outside any ring (e.g. biphenyl).
-    provisional = Molecule(
-        atoms=tuple(Atom(element=w.element, aromatic=w.aromatic) for w in work),
-        bonds=tuple(
-            Bond(endpoints=(a, b), order=o)
-            for (a, b, _, _), o in zip(raw_bonds, orders)
-        ),
-        source_text=text,
-    )
-    ring = provisional.ring_bonds
-    for bi, (a, b, order, _) in enumerate(raw_bonds):
-        if order is None and orders[bi] == AROMATIC and bi not in ring:
-            orders[bi] = SINGLE
+    adj = [[(j, orders[bi]) for j, bi in nbrs] for nbrs in neighbors]
+    for w, bonded in zip(work, adj):
+        if not (w.bracket or w.element == DUMMY):
+            w.implicit_h = _default_hydrogens(w.element, w.aromatic, [o for _, o in bonded])
 
-    adj: list[list[tuple[int, int]]] = [[] for _ in work]
-    for (a, b, _, _), o in zip(raw_bonds, orders):
-        adj[a].append((b, o))
-        adj[b].append((a, o))
+    if _may_aromatize(work, ends, orders, adj, ring):
+        _perceive_aromatic(work, raw_bonds, orders, adj, _small_rings(neighbors, ring, ends))
 
-    for i, w in enumerate(work):
-        if w.bracket or w.element == DUMMY:
-            continue
-        w.implicit_h = _default_hydrogens(
-            w.element, w.aromatic, [o for _, o in adj[i]]
-        )
-
-    _perceive_aromatic(work, raw_bonds, orders, adj, provisional)
-
-    atoms = tuple(
-        Atom(
-            element=w.element,
-            aromatic=w.aromatic,
-            formal_charge=w.charge,
-            explicit_h=w.explicit_h,
-            isotope=w.isotope,
-            link_label=w.link_label,
-            implicit_h=w.implicit_h,
-            stereo=w.stereo,
-        )
-        for w in work
-    )
-    bonds = tuple(
-        Bond(endpoints=(a, b), order=o, stereo_annotation=s)
-        for (a, b, _, s), o in zip(raw_bonds, orders)
-    )
-    mol = Molecule(atoms=atoms, bonds=bonds, source_text=text)
-    # Same bonds in the same order: the topology perceived on the
-    # provisional molecule holds for this one too.
-    for name in ("neighbors", "ring_bonds", "small_rings"):
-        mol.__dict__[name] = getattr(provisional, name)
+    atoms = tuple(Atom(w.element, w.aromatic, w.charge, w.explicit_h, w.isotope, w.link_label,
+                       w.implicit_h, w.stereo) for w in work)
+    bonds = tuple(Bond(e, o, s) for e, o, (_, _, _, s) in zip(ends, orders, raw_bonds))
+    mol = Molecule(atoms, bonds, text)
+    # Same bonds in the same order: the topology found above holds.
+    mol.__dict__.update(neighbors=neighbors, ring_bonds=ring)
     return mol
 
 
@@ -559,36 +537,43 @@ def _default_hydrogens(element: str, aromatic: bool, orders: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 _INELIGIBLE = -1
+_PI_ELEMENTS = frozenset(("C", "N", "O", "S", "P", "B"))
+_AROMATIC_PI = {"C": 1, "O": 2, "S": 2, "B": 0}  # an aromatic N or P gives 1 or 2
+
+
+def _never_pi(w: _WorkAtom, bonded) -> bool:
+    """Whether atom ``w``, with (neighbour, order) pairs ``bonded``, is
+    :data:`_INELIGIBLE` for every ring: an element outside C N O S P B,
+    or a non-aromatic atom that is charged, has a triple bond, or is a
+    carbon without a double bond."""
+    if w.element not in _PI_ELEMENTS:
+        return True
+    if w.aromatic:
+        return False
+    if w.charge:
+        return True
+    orders = [o for _, o in bonded]
+    return TRIPLE in orders or (w.element == "C" and DOUBLE not in orders)
 
 
 def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> int:
     """Pi electrons atom i donates to an aromatic system, or _INELIGIBLE."""
     w = work[i]
-    el = w.element
-    if el not in ("C", "N", "O", "S", "P", "B"):
+    if _never_pi(w, adj[i]):
         return _INELIGIBLE
+    el = w.element
     if w.aromatic:
-        if el == "C":
-            return 1
-        if el in ("O", "S"):
-            return 2
-        if el == "B":
-            return 0
+        if el in _AROMATIC_PI:
+            return _AROMATIC_PI[el]
         # N/P: three sigma partners (bonds + H) means the lone pair is in the ring
         return 2 if (len(adj[i]) + w.explicit_h + w.implicit_h) >= 3 else 1
-    if w.charge != 0:
-        return _INELIGIBLE
-    doubles_in = doubles_out = triples = 0
+    doubles_in = doubles_out = 0
     for j, o in adj[i]:
-        if o == TRIPLE:
-            triples += 1
-        elif o == DOUBLE:
+        if o == DOUBLE:
             if j in cluster:
                 doubles_in += 1
             else:
                 doubles_out += 1
-    if triples:
-        return _INELIGIBLE
     if doubles_in > 1:
         return _INELIGIBLE
     if doubles_in == 1:
@@ -596,20 +581,40 @@ def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> i
     if doubles_out:
         # Exocyclic double bond: carbon contributes an empty-ish orbital.
         return 0 if el in ("C", "S") else _INELIGIBLE
-    if el in ("N", "P", "O", "S"):
-        return 2
-    if el == "B":
-        return 0
-    return _INELIGIBLE  # saturated carbon
+    return 0 if el == "B" else 2  # N P O S lone pair (a carbon has a double bond)
 
 
-def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> None:
+def _may_aromatize(work, ends, orders, adj, ring: frozenset[int]) -> bool:
+    """Whether :func:`_perceive_aromatic` can change anything. Each ring
+    it aromatizes avoids the :func:`_never_pi` atoms, which it never
+    changes, so it cannot when the ring bonds between the other atoms
+    close no cycle (a union-find pass) or are all aromatic between
+    aromatic atoms."""
+    ring_atoms = {x for bi in ring for x in ends[bi]}
+    eligible = {x for x in ring_atoms if not _never_pi(work[x], adj[x])}
+    root = list(range(len(work)))
+    cycle = kekule = False
+    for bi in ring:
+        a, b = ends[bi]
+        if a not in eligible or b not in eligible:
+            continue
+        kekule = kekule or not (orders[bi] == AROMATIC and work[a].aromatic and work[b].aromatic)
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        cycle = cycle or a == b
+        root[a] = b
+        if cycle and kekule:
+            return True
+    return False
+
+
+def _perceive_aromatic(work, raw_bonds, orders, adj, rings) -> None:
     """Upgrade Huckel-count rings written in Kekule form to aromatic.
 
-    ``adj`` holds each atom's (neighbour, order) pairs under ``orders``."""
-    rings = provisional.small_rings
-    if not rings:
-        return
+    ``adj`` holds each atom's (neighbour, order) pairs under ``orders``,
+    and ``rings`` is the graph's :attr:`Molecule.small_rings`."""
     candidates = [r for r in rings if len(r) in (5, 6)]
     # Cluster rings sharing atoms so fused systems are counted together.
     clusters: list[list[tuple[int, ...]]] = []
@@ -631,14 +636,8 @@ def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> N
 
     def try_aromatize(ring_group: list[tuple[int, ...]]) -> bool:
         atom_set = {a for r in ring_group for a in r}
-        contribs = {}
-        for a in atom_set:
-            c = _pi_contribution(a, work, adj, atom_set)
-            if c == _INELIGIBLE:
-                return False
-            contribs[a] = c
-        pi = sum(contribs.values())
-        if pi % 4 != 2:
+        contribs = [_pi_contribution(a, work, adj, atom_set) for a in atom_set]
+        if _INELIGIBLE in contribs or sum(contribs) % 4 != 2:
             return False
         for a in atom_set:
             work[a].aromatic = True
@@ -848,7 +847,8 @@ def _bond_token(m: Molecule, bi: int) -> str:
     both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
     if bond.order == SINGLE:
         return "-" if both_aromatic and bi in m.ring_bonds else ""
-    return "" if both_aromatic else ":"
+    # Outside a ring an unmarked bond re-parses as single (biphenyl).
+    return "" if both_aromatic and bi in m.ring_bonds else ":"
 
 
 def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) -> str:

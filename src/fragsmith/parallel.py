@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import os
 
-# Fewest items per worker. Measured on a 2-CPU VM (Python 3.11):
-# starting and joining two forked workers costs 13-19 ms, a corpus line
-# in `preprocess` ~0.8 ms, a library row in `build` ~1.3 ms and an `eval`
-# pair ~4 ms. Below 2 * MIN_CHUNK items the pool would save little or
-# nothing, and one-item inputs never pay for it.
+# Fewest items per worker. Measured on a 2-CPU VM (Python 3.11): starting
+# and joining two forked workers costs 10-19 ms; on one CPU, a corpus line
+# in `preprocess` takes ~0.5 ms, a library row in `build` ~1.0 ms and an
+# `eval` pair ~2.1 ms. Below 2 * MIN_CHUNK items the pool would save little
+# or nothing, and one-item inputs never pay for it.
 MIN_CHUNK = 32
 # A few chunks per worker, so one that drew cheap items takes another
 # chunk instead of idling while the others finish.

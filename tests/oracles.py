@@ -8,7 +8,8 @@ first dict-based canonical ranking, the two-pass canonical writer, the
 per-bond small-ring search, an all-lengths longest-match tokenizer, the
 stack-based linear-path fingerprint walk, the closure-based anchored
 pattern matcher, the string-keyed implicit-hydrogen and sigma-valence
-rules, and the character-scanning SMILES lexer. The BRICS scan reuses
+rules, the character-scanning SMILES lexer, and the molecule assembly
+that perceived aromatic rings on every parse. The BRICS scan reuses
 the pattern matcher: what it checks is which atoms and rules get tried,
 not how one match is made. The writer reuses the parser's
 implicit-hydrogen rule to decide when an atom needs brackets. The path
@@ -16,7 +17,9 @@ walk reuses the package's atom hash inputs, and the matcher its compiled
 atom and bond tests (``$()`` tests call the package matcher): each pins
 the walk, not the inputs. The lexer hands its atoms and bonds to the
 package's ``_assemble``: it pins the reading of the text, not the graph
-built from it.
+built from it. The assembly reuses the package's implicit-hydrogen rule
+and the ``ring_bonds`` and ``small_rings`` of its ``Molecule``: it pins
+when perception runs and what it does, not the ring search.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ from fragsmith.molgraph import (
     DOUBLE,
     SINGLE,
     TRIPLE,
+    Atom,
+    Bond,
     Molecule,
     SmilesError,
     _assemble,
+    _default_hydrogens,
     _WorkAtom,
 )
 
@@ -852,3 +858,174 @@ def parse_smiles_reference(text: str) -> Molecule:
         raise SmilesError("no atoms in SMILES", 0)
 
     return _assemble(atoms, bonds, text)
+
+
+# Molecule assembly and aromaticity perception as they stood before
+# perception was gated, verbatim but for the name of ``_assemble``: a
+# provisional molecule for ring membership, then perception on its
+# ``small_rings`` for every parse.
+def assemble_reference(
+    work: list[_WorkAtom],
+    raw_bonds: list[tuple[int, int, int | None, str | None]],
+    text: str,
+) -> Molecule:
+    """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
+    orders: list[int] = []
+    for a, b, order, _ in raw_bonds:
+        if order is None:
+            order = AROMATIC if (work[a].aromatic and work[b].aromatic) else SINGLE
+        orders.append(order)
+
+    # Provisional molecule to find ring membership, then demote default
+    # aromatic bonds that ended up outside any ring (e.g. biphenyl).
+    provisional = Molecule(
+        atoms=tuple(Atom(element=w.element, aromatic=w.aromatic) for w in work),
+        bonds=tuple(
+            Bond(endpoints=(a, b), order=o)
+            for (a, b, _, _), o in zip(raw_bonds, orders)
+        ),
+        source_text=text,
+    )
+    ring = provisional.ring_bonds
+    for bi, (a, b, order, _) in enumerate(raw_bonds):
+        if order is None and orders[bi] == AROMATIC and bi not in ring:
+            orders[bi] = SINGLE
+
+    adj: list[list[tuple[int, int]]] = [[] for _ in work]
+    for (a, b, _, _), o in zip(raw_bonds, orders):
+        adj[a].append((b, o))
+        adj[b].append((a, o))
+
+    for i, w in enumerate(work):
+        if w.bracket or w.element == DUMMY:
+            continue
+        w.implicit_h = _default_hydrogens(
+            w.element, w.aromatic, [o for _, o in adj[i]]
+        )
+
+    _perceive_aromatic(work, raw_bonds, orders, adj, provisional)
+
+    atoms = tuple(
+        Atom(
+            element=w.element,
+            aromatic=w.aromatic,
+            formal_charge=w.charge,
+            explicit_h=w.explicit_h,
+            isotope=w.isotope,
+            link_label=w.link_label,
+            implicit_h=w.implicit_h,
+            stereo=w.stereo,
+        )
+        for w in work
+    )
+    bonds = tuple(
+        Bond(endpoints=(a, b), order=o, stereo_annotation=s)
+        for (a, b, _, s), o in zip(raw_bonds, orders)
+    )
+    mol = Molecule(atoms=atoms, bonds=bonds, source_text=text)
+    # Same bonds in the same order: the topology perceived on the
+    # provisional molecule holds for this one too.
+    for name in ("neighbors", "ring_bonds", "small_rings"):
+        mol.__dict__[name] = getattr(provisional, name)
+    return mol
+
+
+_INELIGIBLE = -1
+
+
+def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> int:
+    """Pi electrons atom i donates to an aromatic system, or _INELIGIBLE."""
+    w = work[i]
+    el = w.element
+    if el not in ("C", "N", "O", "S", "P", "B"):
+        return _INELIGIBLE
+    if w.aromatic:
+        if el == "C":
+            return 1
+        if el in ("O", "S"):
+            return 2
+        if el == "B":
+            return 0
+        # N/P: three sigma partners (bonds + H) means the lone pair is in the ring
+        return 2 if (len(adj[i]) + w.explicit_h + w.implicit_h) >= 3 else 1
+    if w.charge != 0:
+        return _INELIGIBLE
+    doubles_in = doubles_out = triples = 0
+    for j, o in adj[i]:
+        if o == TRIPLE:
+            triples += 1
+        elif o == DOUBLE:
+            if j in cluster:
+                doubles_in += 1
+            else:
+                doubles_out += 1
+    if triples:
+        return _INELIGIBLE
+    if doubles_in > 1:
+        return _INELIGIBLE
+    if doubles_in == 1:
+        return 1
+    if doubles_out:
+        # Exocyclic double bond: carbon contributes an empty-ish orbital.
+        return 0 if el in ("C", "S") else _INELIGIBLE
+    if el in ("N", "P", "O", "S"):
+        return 2
+    if el == "B":
+        return 0
+    return _INELIGIBLE  # saturated carbon
+
+
+def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> None:
+    """Upgrade Huckel-count rings written in Kekule form to aromatic.
+
+    ``adj`` holds each atom's (neighbour, order) pairs under ``orders``."""
+    rings = provisional.small_rings
+    if not rings:
+        return
+    candidates = [r for r in rings if len(r) in (5, 6)]
+    # Cluster rings sharing atoms so fused systems are counted together.
+    clusters: list[list[tuple[int, ...]]] = []
+    assigned: dict[int, int] = {}
+    for ring in candidates:
+        hit = sorted({assigned[a] for a in ring if a in assigned})
+        if not hit:
+            idx = len(clusters)
+            clusters.append([ring])
+        else:
+            idx = hit[0]
+            clusters[idx].append(ring)
+            for other in hit[1:]:
+                clusters[idx].extend(clusters[other])
+                clusters[other] = []
+        for r in clusters[idx]:
+            for a in r:
+                assigned[a] = idx
+
+    def try_aromatize(ring_group: list[tuple[int, ...]]) -> bool:
+        atom_set = {a for r in ring_group for a in r}
+        contribs = {}
+        for a in atom_set:
+            c = _pi_contribution(a, work, adj, atom_set)
+            if c == _INELIGIBLE:
+                return False
+            contribs[a] = c
+        pi = sum(contribs.values())
+        if pi % 4 != 2:
+            return False
+        for a in atom_set:
+            work[a].aromatic = True
+        ring_bond_pairs = set()
+        for r in ring_group:
+            for x in range(len(r)):
+                ring_bond_pairs.add(frozenset((r[x], r[(x + 1) % len(r)])))
+        for bi, (a, b, _, _) in enumerate(raw_bonds):
+            if frozenset((a, b)) in ring_bond_pairs and orders[bi] in (SINGLE, DOUBLE):
+                orders[bi] = AROMATIC
+        return True
+
+    for group in clusters:
+        if not group:
+            continue
+        if not try_aromatize(group):
+            for ring in group:
+                try_aromatize([ring])

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fragsmith import molgraph
 from fragsmith.brics import cut_bonds, find_brics_bonds
 from fragsmith.elements import DEFAULT_VALENCES, allowed_valences
 from fragsmith.molgraph import (
@@ -15,6 +18,7 @@ from fragsmith.molgraph import (
     Bond,
     Molecule,
     SmilesError,
+    _assemble,
     _component_ranks,
     _default_hydrogens,
     canonical_smiles,
@@ -27,6 +31,7 @@ from fragsmith.molgraph import (
 from fragsmith.recombine import carbon_cap, rejoin
 
 from oracles import (
+    assemble_reference,
     component_ranks_reference,
     default_hydrogens_reference,
     graph_isomorphic,
@@ -167,6 +172,20 @@ def test_aromatic_bond_between_non_aromatic_atoms_invalid(smi):
     canon = canonical_smiles(m)
     assert ":" in canon
     assert canonical_smiles(parse_smiles(canon)) == canon
+
+
+def test_aromatic_bond_outside_rings_is_not_biphenyl():
+    """An aromatic bond between aromatic atoms outside any ring is written
+    as ``:``, so it neither collides with biphenyl's single bond nor
+    changes order when the canonical string is read back."""
+    canon = {}
+    for smi, order in (("c1ccccc1:c1ccccc1", AROMATIC), ("c1ccccc1-c1ccccc1", SINGLE)):
+        for text in (smi, canonical_smiles(parse_smiles(smi))):
+            m = parse_smiles(text)
+            assert [b.order for bi, b in enumerate(m.bonds) if bi not in m.ring_bonds] == [order]
+        canon[order] = canonical_smiles(m)
+        assert canon[order] == text
+    assert canon[AROMATIC] != canon[SINGLE]
 
 
 class TestCanonical:
@@ -492,3 +511,64 @@ class TestSmallRingsEqualReference:
     @given(molecule_graphs())
     def test_random_graphs(self, mol):
         assert mol.small_rings == small_rings_reference(mol)
+
+
+def _lexed(text: str):
+    """The atoms, bonds and text that ``parse_smiles`` hands to ``_assemble``."""
+    with mock.patch.object(molgraph, "_assemble", lambda *args: args):
+        return parse_smiles(text)
+
+
+def _assert_assembly_equals_reference(text: str) -> Molecule | None:
+    """Assemble the lexed ``text`` with the package and with the ungated
+    reference, compare the graphs and their topology, and return the
+    package's molecule (None when ``text`` does not lex)."""
+    try:
+        work, raw_bonds, _ = _lexed(text)
+    except SmilesError:
+        return None
+    m = _assemble([dataclasses.replace(w) for w in work], raw_bonds, text)
+    ref = assemble_reference(work, raw_bonds, text)
+    for name in ("atoms", "bonds", "neighbors", "ring_bonds", "small_rings"):
+        assert getattr(m, name) == getattr(ref, name), (text, name)
+    return m
+
+
+class TestAssemblyEqualsReference:
+    """Gating aromaticity perception changes no parsed graph."""
+
+    def test_corpus_and_serializations(self, corpus_lines):
+        for k, smi in enumerate(corpus_lines):
+            m = _assert_assembly_equals_reference(smi)
+            for r in range(3):
+                _assert_assembly_equals_reference(randomized_smiles(m, 3 * k + r))
+
+    def test_smiles_alphabet_fuzz(self):
+        rng = random.Random(2027)
+        parsed = 0
+        for _ in range(20_000):
+            text = "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(1, 14)))
+            parsed += _assert_assembly_equals_reference(text) is not None
+        assert parsed > 1_000
+
+    @given(molecule_graphs(), st.integers(0, 2**16))
+    def test_random_graphs(self, mol, seed):
+        _assert_assembly_equals_reference(canonical_smiles(mol))
+        _assert_assembly_equals_reference(randomized_smiles(mol, seed))
+
+
+# Inputs that perception aromatizes, so the gate must let it run:
+# exocyclic C=O and NH lone pairs (cyanuric acid), an aliphatic N closing
+# an aromatic chain, and Kekule benzene, naphthalene, furan and pyrrole.
+@pytest.mark.parametrize("smi", ["O=C1NC(=O)NC(=O)N1", "c1cccN1", "C1=CC=CC=C1",
+                                 "C1=CC=C2C=CC=CC2=C1", "C1=COC=C1", "C1=CNC=C1"])
+def test_gate_lets_aromatizable_rings_through(smi):
+    m = _assert_assembly_equals_reference(smi)
+    assert all(m.atoms[i].aromatic for i in m.ring_atoms)
+    assert all(m.bonds[bi].order == AROMATIC for bi in m.ring_bonds)
+
+
+def test_parse_leaves_small_rings_lazy():
+    """Only perception needs the ring search at parse time; it must not
+    creep back into every parse."""
+    assert "small_rings" not in parse_smiles("OCCCN1CCOCC1").__dict__
