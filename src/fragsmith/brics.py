@@ -242,6 +242,11 @@ def find_brics_bonds(
     return out
 
 
+def fragment_cap(m: Molecule, params: FragmentParams) -> int:
+    """The cap :func:`fragment` puts on ``m``, from its source text's length."""
+    return max_fragments(len(m.source_text), params.k, params.alpha)
+
+
 def fragment(
     m: Molecule,
     params: FragmentParams,
@@ -262,7 +267,7 @@ def fragment(
         raise FragmentationError("molecule is disconnected")
 
     eligible = find_brics_bonds(m, rules)
-    cap = max_fragments(len(m.source_text), params.k, params.alpha)
+    cap = fragment_cap(m, params)
     n_cuts = min(len(eligible), cap - 1)
     if n_cuts < len(eligible):
         rng = random.Random(f"{params.seed}|{m.source_text}")

@@ -12,12 +12,16 @@ import json
 import sys
 from pathlib import Path
 
-from .brics import FragmentationError, FragmentParams, fragment, max_fragments
+from .brics import FragmentationError, FragmentParams, fragment, fragment_cap
 from .config import ConfigError, PipelineConfig, resolve_config
 from .dataset import (
+    DatasetFormatError,
+    InstructionRecord,
     LibraryFormatError,
+    MissingSlotError,
     MoleculeLibrary,
     PairCounters,
+    TemplateError,
     emit_jsonl,
     load_templates,
     make_finetune_pairs,
@@ -28,7 +32,7 @@ from .dataset import (
 )
 from .metrics import evaluate
 from .molgraph import SmilesError, molecular_weight, parse_smiles
-from .tokenizer import MOLECULE, Vocab, build_vocab, tokenize
+from .tokenizer import MOLECULE, TokenizerError, Vocab, build_vocab, tokenize
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,9 +52,21 @@ def _fail(category: str, message: str) -> None:
 
 
 def _vocab_from(cfg: PipelineConfig) -> Vocab:
-    if cfg.vocab:
-        return Vocab.load(cfg.vocab)
-    return build_vocab(group_file=cfg.groups)
+    try:
+        if cfg.vocab:
+            return Vocab.load(cfg.vocab)
+        return build_vocab(group_file=cfg.groups)
+    except (TokenizerError, OSError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _read_dataset(path: str) -> list[InstructionRecord]:
+    try:
+        return list(read_dataset(path))
+    except OSError as exc:
+        raise CliInputError(f"cannot read dataset {path}: {exc}") from None
+    except DatasetFormatError as exc:
+        raise CliInputError(str(exc)) from None
 
 
 def _read_lines(path: str) -> list[str]:
@@ -86,7 +102,7 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
 
 def _fragment_one(smiles: str, params: FragmentParams) -> None:
     mol = parse_smiles(smiles)
-    cap = max_fragments(len(mol.source_text), params.k, params.alpha)
+    cap = fragment_cap(mol, params)
     fs = fragment(mol, params)
     print(f"# cap={cap} cuts={len(fs.cleaved)} fragments={len(fs.fragments)}")
     print(".".join(f.source_text for f in fs.fragments))
@@ -118,7 +134,10 @@ def _cmd_fragment(args, cfg: PipelineConfig) -> int:
 
 def _cmd_build(args, cfg: PipelineConfig) -> int:
     vocab = _vocab_from(cfg)
-    templates = load_templates(cfg.templates)
+    try:
+        templates = load_templates(cfg.templates)
+    except (TemplateError, OSError) as exc:
+        raise ConfigError(str(exc)) from None
     try:
         lib = MoleculeLibrary.load(args.library)
     except OSError as exc:
@@ -180,7 +199,7 @@ def _cmd_tokenize(args, cfg: PipelineConfig) -> int:
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     if args.dataset:
-        refs_by_id = {rec.id: rec.output for rec in read_dataset(args.dataset)}
+        refs_by_id = {rec.id: rec.output for rec in _read_dataset(args.dataset)}
         preds_by_id = {}
         for lineno, line in enumerate(_read_lines(args.preds), 1):
             if not line.strip():
@@ -226,11 +245,7 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
     weight_hist = {f"{lo}-{hi}": 0 for lo, hi in _WEIGHT_BANDS}
     weight_hist[">1000"] = 0
     n_frag_records = 0
-    try:
-        records = list(read_dataset(args.dataset))
-    except OSError as exc:
-        raise CliInputError(f"cannot read dataset {args.dataset}: {exc}") from None
-    for rec in records:
+    for rec in _read_dataset(args.dataset):
         if rec.task != "fragmentation":
             continue
         n_frag_records += 1
@@ -337,6 +352,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args, cfg)
+    except ConfigError as exc:
+        _fail("config", str(exc))
+        return EXIT_CONFIG
+    except MissingSlotError as exc:
+        # load_templates checks every slot; a task with no template is left.
+        _fail("config", f"{cfg.templates}: {exc.args[0]}")
+        return EXIT_CONFIG
     except CliInputError as exc:
         _fail("io", str(exc))
         return EXIT_IO

@@ -4,8 +4,9 @@ then command-line flags, in increasing precedence."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 ENV_PREFIX = "FRAGSMITH_"
 
@@ -51,17 +52,10 @@ def _coerce(name: str, raw: str, target_type) -> object:
     return raw
 
 
+# Each key's value type; ``X | None`` keys take an ``X``.
 _FIELD_TYPES = {
-    "seed": int,
-    "k": int,
-    "alpha": float,
-    "shards": int,
-    "out": str,
-    "vocab": str,
-    "groups": str,
-    "templates": str,
-    "invalid_as_zero": bool,
-    "special_pairing": str,
+    name: (get_args(hint) or (hint,))[0]
+    for name, hint in get_type_hints(PipelineConfig).items()
 }
 
 
@@ -108,10 +102,9 @@ def resolve_config(
     layers.append(env_overrides(environ))
     if flag_values:
         layers.append({k: v for k, v in flag_values.items() if v is not None})
-    names = {f.name for f in fields(PipelineConfig)}
     for layer in layers:
         for key, value in layer.items():
-            if key in names:
+            if key in _FIELD_TYPES:
                 setattr(cfg, key, value)
     if cfg.special_pairing not in ("mnemonic", "paper"):
         raise ConfigError(

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -42,9 +42,27 @@ TASK_REACTION = "reaction"
 FORWARD = "forward"
 BACKWARD = "backward"
 
+# family -> (forward task, backward task, the slots its templates may use:
+# the payload and the keys of the records' meta).
+_DUAL_TASKS = {
+    "pretrain": (
+        TASK_FRAGMENTATION, TASK_RECOMBINATION, {"input", "parent", "seed", "n_fragments"}
+    ),
+    "finetune": (TASK_RETROSYNTHESIS, TASK_REACTION, {"input", "parent", "reaction_type"}),
+}
+_TASK_SLOTS = {task: slots for fwd, bwd, slots in _DUAL_TASKS.values() for task in (fwd, bwd)}
+
 
 class MissingSlotError(KeyError):
     """An instruction template references a slot with no value."""
+
+
+class TemplateError(ValueError):
+    """A template file line is malformed or uses a slot its records lack."""
+
+
+class DatasetFormatError(ValueError):
+    """A dataset manifest or shard line is not what ``emit_jsonl`` writes."""
 
 
 class LibraryFormatError(ValueError):
@@ -67,6 +85,16 @@ class LibraryStats:
     weight_rejections: int = 0
     length_rejections: int = 0
     kept: int = 0
+
+
+@dataclass
+class PairCounters:
+    emitted_pairs: int = 0
+    skipped_no_cut: int = 0
+    skipped_unparseable: int = 0
+    skipped_empty: int = 0
+    skipped_filtered: int = 0
+    skipped_malformed: int = 0
 
 
 @dataclass
@@ -119,38 +147,42 @@ class MoleculeLibrary:
         return cls(records=records, stats=stats, k=k)
 
 
-def _screen_lines(
-    vocab: Vocab, weight_limit: float, lines: list[str]
-) -> list[tuple[str | None, bool | None, float | None, int | None]]:
-    """Per corpus line: (canonical, valid, weight, token_length).
+def _count_skip(counters: LibraryStats | PairCounters, skip: str) -> None:
+    """Add one to the ``counters`` field named ``skip``."""
+    setattr(counters, skip, getattr(counters, skip) + 1)
 
-    ``canonical`` is None for an unreadable line. A field is None where an
-    earlier filter already rejects the line: a repeat within ``lines``
-    gets no validity, an invalid molecule no weight and one over
-    ``weight_limit`` no token length.
-    """
+
+def _screen_lines(
+    vocab: Vocab, weight_limit: float, token_limit: int, lines: list[str]
+) -> list[tuple[str | None, LibraryRecord | str]]:
+    """Per corpus line: (canonical, or None if unreadable; the kept record,
+    or the name of the ``LibraryStats`` field that counts its rejection).
+    A repeat within ``lines`` is screened once; the caller counts repeats."""
     seen: set[str] = set()
-    out = []
+    out: list[tuple[str | None, LibraryRecord | str]] = []
     for line in lines:
         try:
             mol = parse_smiles(line)
             canon = canonical_smiles(mol)
         except (SmilesError, ValueError):
-            out.append((None, None, None, None))
+            out.append((None, "parse_failures"))
             continue
         if canon in seen:
-            out.append((canon, None, None, None))
+            out.append((canon, "duplicates"))
             continue
         seen.add(canon)
         if not validate(mol).valid:
-            out.append((canon, False, None, None))
+            out.append((canon, "validity_rejections"))
             continue
         weight = molecular_weight(mol)
         if weight > weight_limit:
-            out.append((canon, True, weight, None))
+            out.append((canon, "weight_rejections"))
             continue
         token_length = payload_length(tokenize(canon, vocab, MOLECULE), vocab)
-        out.append((canon, True, weight, token_length))
+        if token_length > token_limit:
+            out.append((canon, "length_rejections"))
+            continue
+        out.append((canon, LibraryRecord(canon, weight, token_length)))
     return out
 
 
@@ -171,28 +203,19 @@ def preprocess(
     if vocab is None:
         vocab = build_vocab()
     lines = [line for line in map(str.strip, corpus) if line and not line.startswith("#")]
-    screened = ordered_map(partial(_screen_lines, vocab, weight_limit), lines)
+    screened = ordered_map(partial(_screen_lines, vocab, weight_limit, token_limit), lines)
     stats = LibraryStats(read=len(lines))
     seen: set[str] = set()
     records: list[LibraryRecord] = []
-    for canon, valid, weight, token_length in screened:
-        if canon is None:
-            stats.parse_failures += 1
-            continue
+    for canon, outcome in screened:
         if canon in seen:
-            stats.duplicates += 1
-            continue
-        seen.add(canon)
-        if not valid:
-            stats.validity_rejections += 1
-            continue
-        if weight > weight_limit:
-            stats.weight_rejections += 1
-            continue
-        if token_length > token_limit:
-            stats.length_rejections += 1
-            continue
-        records.append(LibraryRecord(canon, weight, token_length))
+            outcome = "duplicates"
+        elif canon is not None:
+            seen.add(canon)
+        if isinstance(outcome, str):
+            _count_skip(stats, outcome)
+        else:
+            records.append(outcome)
     records.sort(key=lambda r: r.canonical)
     stats.kept = len(records)
     k = sum(len(r.canonical) for r in records) / len(records) if records else None
@@ -202,9 +225,12 @@ def preprocess(
 # --- templates -------------------------------------------------------------
 
 _TEMPLATE_CACHE: dict[str, dict[str, str]] = {}
+_SLOT_RE = re.compile(r"\{(\w+)\}")
 
 
 def load_templates(path: str | Path | None = None) -> dict[str, str]:
+    """Read ``task<TAB>template`` lines (``#`` comments). Raises TemplateError
+    at ``path:line`` for a line without a tab or a slot its records lack."""
     key = str(path) if path else "<default>"
     if key in _TEMPLATE_CACHE:
         return _TEMPLATE_CACHE[key]
@@ -213,17 +239,25 @@ def load_templates(path: str | Path | None = None) -> dict[str, str]:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    where = path or "templates.txt"
     templates: dict[str, str] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        task, _, template = line.partition("\t")
-        templates[task.strip()] = template.strip()
+        task, tab, template = line.partition("\t")
+        if not tab:
+            raise TemplateError(f"{where}:{lineno}: expected a task name, a tab and the template")
+        task, template = task.strip(), template.strip()
+        slots = _TASK_SLOTS.get(task)
+        unfilled = [s for s in _SLOT_RE.findall(template) if slots and s not in slots]
+        if unfilled:
+            raise TemplateError(
+                f"{where}:{lineno}: template slot {{{unfilled[0]}}} has no value "
+                f"in {task} records"
+            )
+        templates[task] = template
     _TEMPLATE_CACHE[key] = templates
     return templates
-
-
-_SLOT_RE = re.compile(r"\{(\w+)\}")
 
 
 def fill_template(
@@ -271,59 +305,53 @@ class InstructionRecord:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "id": self.id,
-                "task": self.task,
-                "direction": self.direction,
-                "instruction": self.instruction,
-                "input": self.input,
-                "output": self.output,
-                "meta": dict(sorted(self.meta.items())),
-            },
-            ensure_ascii=False,
-            separators=(", ", ": "),
+            {**vars(self), "meta": dict(sorted(self.meta.items()))}, ensure_ascii=False
         )
 
     @classmethod
     def from_json(cls, line: str) -> "InstructionRecord":
+        """Parse a record line: ``meta`` may be missing, unknown keys are ignored."""
         obj = json.loads(line)
-        return cls(
-            id=obj["id"],
-            task=obj["task"],
-            direction=obj["direction"],
-            instruction=obj["instruction"],
-            input=obj["input"],
-            output=obj["output"],
-            meta=obj.get("meta", {}),
-        )
+        values = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        if not all(isinstance(v, dict if k == "meta" else str) for k, v in values.items()):
+            raise TypeError("meta must be an object and every other field a string")
+        return cls(**values)
 
 
 def _pair_id(family: str, key: str) -> str:
     return hashlib.sha256(f"{family}|{key}".encode()).hexdigest()[:16]
 
 
-@dataclass
-class PairCounters:
-    emitted_pairs: int = 0
-    skipped_no_cut: int = 0
-    skipped_unparseable: int = 0
-    skipped_empty: int = 0
-    skipped_filtered: int = 0
-    skipped_malformed: int = 0
+def _dual_records(
+    family: str, key: str, source: str, target: str, meta: dict, templates: dict[str, str] | None
+) -> Iterator[InstructionRecord]:
+    """The forward record (source -> target) and its swapped backward twin,
+    under one ``_pair_id`` prefix that is also their shared meta's parent."""
+    prefix = _pair_id(family, key)
+    meta = {**meta, "parent": prefix}
+    forward, backward, _ = _DUAL_TASKS[family]
+    for suffix, task, direction, text_in, text_out in (
+        ("fwd", forward, FORWARD, source, target),
+        ("bwd", backward, BACKWARD, target, source),
+    ):
+        instruction = fill_template(task, text_in, meta, templates)
+        yield InstructionRecord(
+            f"{prefix}-{suffix}", task, direction, instruction, text_in, text_out, meta
+        )
 
 
 def _fragment_rows(
     params: FragmentParams, canonicals: list[str]
-) -> list[tuple[str, int] | None]:
+) -> list[tuple[str, int] | str]:
     """Per library SMILES: (dot-joined fragment payload, fragment count),
-    or None when the molecule has no cleavable bond."""
-    out = []
+    or ``"skipped_no_cut"`` when the molecule has no cleavable bond."""
+    out: list[tuple[str, int] | str] = []
     for smi in canonicals:
         fs = fragment(parse_smiles(smi), params)
         if fs.cleaved:
             out.append((".".join(f.source_text for f in fs.fragments), len(fs.fragments)))
         else:
-            out.append(None)
+            out.append("skipped_no_cut")
     return out
 
 
@@ -346,34 +374,14 @@ def make_pretrain_pairs(
         partial(_fragment_rows, params), [rec.canonical for rec in lib.records]
     )
     for rec, cut in zip(lib.records, cuts):
-        if cut is None:
-            counters.skipped_no_cut += 1
+        if isinstance(cut, str):
+            _count_skip(counters, cut)
             continue
         frag_payload, n_fragments = cut
-        prefix = _pair_id("pretrain", rec.canonical)
-        meta = {
-            "parent": prefix,
-            "seed": params.seed,
-            "n_fragments": n_fragments,
-        }
         counters.emitted_pairs += 1
-        yield InstructionRecord(
-            id=f"{prefix}-fwd",
-            task=TASK_FRAGMENTATION,
-            direction=FORWARD,
-            instruction=fill_template(TASK_FRAGMENTATION, rec.canonical, meta, templates),
-            input=rec.canonical,
-            output=frag_payload,
-            meta=meta,
-        )
-        yield InstructionRecord(
-            id=f"{prefix}-bwd",
-            task=TASK_RECOMBINATION,
-            direction=BACKWARD,
-            instruction=fill_template(TASK_RECOMBINATION, frag_payload, meta, templates),
-            input=frag_payload,
-            output=rec.canonical,
-            meta=meta,
+        meta = {"seed": params.seed, "n_fragments": n_fragments}
+        yield from _dual_records(
+            "pretrain", rec.canonical, rec.canonical, frag_payload, meta, templates
         )
 
 
@@ -441,30 +449,12 @@ def make_finetune_pairs(
     )
     for (_, _, rtype), screen in zip(reactions, screened):
         if isinstance(screen, str):
-            setattr(counters, screen, getattr(counters, screen) + 1)
+            _count_skip(counters, screen)
             continue
         product_c, reactants_c = screen
-        prefix = _pair_id("finetune", f"{reactants_c}>>{product_c}|{rtype}")
-        meta = {"reaction_type": rtype, "parent": prefix}
         counters.emitted_pairs += 1
-        yield InstructionRecord(
-            id=f"{prefix}-fwd",
-            task=TASK_RETROSYNTHESIS,
-            direction=FORWARD,
-            instruction=fill_template(TASK_RETROSYNTHESIS, product_c, meta, templates),
-            input=product_c,
-            output=reactants_c,
-            meta=meta,
-        )
-        yield InstructionRecord(
-            id=f"{prefix}-bwd",
-            task=TASK_REACTION,
-            direction=BACKWARD,
-            instruction=fill_template(TASK_REACTION, reactants_c, meta, templates),
-            input=reactants_c,
-            output=product_c,
-            meta=meta,
-        )
+        key, meta = f"{reactants_c}>>{product_c}|{rtype}", {"reaction_type": rtype}
+        yield from _dual_records("finetune", key, product_c, reactants_c, meta, templates)
 
 
 def read_reactions(
@@ -497,15 +487,7 @@ class Manifest:
     config: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shards": self.shards,
-                "total_records": self.total_records,
-                "config": self.config,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def emit_jsonl(
@@ -561,12 +543,23 @@ def emit_jsonl(
 
 
 def read_dataset(out_dir: str | Path) -> Iterator[InstructionRecord]:
-    """Iterate records of an emitted dataset via its manifest."""
+    """Iterate records of an emitted dataset via its manifest. Raises
+    DatasetFormatError naming the manifest or the ``shard:line`` at fault."""
     out = Path(out_dir)
-    with open(out / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    for shard in manifest["shards"]:
-        with open(out / shard["path"], encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    yield InstructionRecord.from_json(line)
+    manifest_path = out / "manifest.json"
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            shards = [out / shard["path"] for shard in json.load(fh)["shards"]]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise DatasetFormatError(f"{manifest_path}: not a dataset manifest: {exc}") from None
+    for path in shards:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = InstructionRecord.from_json(line)
+                except (ValueError, TypeError) as exc:
+                    msg = f"{path}:{lineno}: not an instruction record: {exc}"
+                    raise DatasetFormatError(msg) from None
+                yield record

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 from .molgraph import (
@@ -407,21 +407,8 @@ class EvalReport:
     fts_skipped: int
 
     def to_json(self) -> str:
-        def norm(v):
-            return None if v is None else round(v, 6)
-
         return json.dumps(
-            {
-                "exact": norm(self.exact),
-                "bleu": norm(self.bleu),
-                "levenshtein": norm(self.levenshtein),
-                "fts_path": norm(self.fts_path),
-                "fts_keys": norm(self.fts_keys),
-                "fts_morgan": norm(self.fts_morgan),
-                "validity": norm(self.validity),
-                "n": self.n,
-                "fts_skipped": self.fts_skipped,
-            }
+            {k: None if v is None else round(v, 6) for k, v in asdict(self).items()}
         )
 
     def format_table(self) -> str:

@@ -128,6 +128,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        """Read a file written by :meth:`save`; raises TokenizerError naming
+        ``path:line`` for a malformed row, ``path`` for a missing special."""
         tokens: list[str] = []
         classes: list[str] = []
         with open(path, encoding="utf-8") as fh:
@@ -137,18 +139,20 @@ class Vocab:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
-                    raise TokenizerError(f"vocab line {lineno}: expected 3 columns")
-                idx, tok_cls, tok = int(parts[0]), parts[1], parts[2]
-                if idx != len(tokens):
-                    raise TokenizerError(f"vocab line {lineno}: ids must be dense")
-                tokens.append(tok)
-                classes.append(tok_cls)
+                    raise TokenizerError(f"{path}:{lineno}: expected 3 columns")
+                if parts[0] != str(len(tokens)):
+                    raise TokenizerError(f"{path}:{lineno}: expected id {len(tokens)}")
+                tokens.append(parts[2])
+                classes.append(parts[1])
+        missing = [tok for tok in SPECIAL_TOKENS if tok not in tokens]
+        if missing:
+            raise TokenizerError(f"{path}: missing special tokens {missing}")
         return cls(tokens=tuple(tokens), classes=tuple(classes))
 
 
-def _validate_group(entry: str, lineno: int) -> None:
+def _validate_group(entry: str, where: str) -> None:
     if not entry:
-        raise MalformedGroupError(f"group line {lineno}: empty entry")
+        raise MalformedGroupError(f"{where}: empty entry")
     for opener, closer in (("(", ")"), ("[", "]")):
         depth = 0
         for ch in entry:
@@ -157,24 +161,19 @@ def _validate_group(entry: str, lineno: int) -> None:
             elif ch == closer:
                 depth -= 1
                 if depth < 0:
-                    raise MalformedGroupError(
-                        f"group line {lineno}: unbalanced {closer!r} in {entry!r}"
-                    )
+                    raise MalformedGroupError(f"{where}: unbalanced {closer!r} in {entry!r}")
         if depth:
-            raise MalformedGroupError(
-                f"group line {lineno}: unbalanced {opener!r} in {entry!r}"
-            )
+            raise MalformedGroupError(f"{where}: unbalanced {opener!r} in {entry!r}")
     allowed = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                   "0123456789-=#:/\\()*[]+@%")
     bad = set(entry) - allowed
     if bad:
-        raise MalformedGroupError(
-            f"group line {lineno}: characters {sorted(bad)} outside base rules"
-        )
+        raise MalformedGroupError(f"{where}: characters {sorted(bad)} outside base rules")
 
 
 def read_group_file(path: str | Path | None = None) -> list[str]:
-    """Read functional-group entries (one per line, ``#`` comments)."""
+    """Read functional-group entries (one per line, ``#`` comments); raises
+    MalformedGroupError naming ``path:line`` for a bad entry."""
     if path is None:
         text = resources.files("fragsmith.data").joinpath(
             "functional_groups.txt"
@@ -191,7 +190,7 @@ def read_group_file(path: str | Path | None = None) -> list[str]:
         entry = re.split(r"\s#", line, 1)[0].strip()
         if not entry:
             continue
-        _validate_group(entry, lineno)
+        _validate_group(entry, f"{path or 'functional_groups.txt'}:{lineno}")
         out.append(entry)
     return out
 

@@ -19,11 +19,15 @@ the walk, not the inputs. The lexer hands its atoms and bonds to the
 package's ``_assemble``: it pins the reading of the text, not the graph
 built from it. The assembly reuses the package's implicit-hydrogen rule
 and the ``ring_bonds`` and ``small_rings`` of its ``Molecule``: it pins
-when perception runs and what it does, not the ring search.
+when perception runs and what it does, not the ring search. The Kekulé
+writer finds its own double-bond matching and hands the de-aromatized
+graph to the package writer: it supplies the input perception exists
+for, which no aromatic serialization reaches.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -1029,3 +1033,63 @@ def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> N
         if not try_aromatize(group):
             for ring in group:
                 try_aromatize([ring])
+
+
+# Kekulé forms. Each aromatic atom takes as many double bonds as its
+# valence leaves after its sigma bonds and hydrogens: 1 for the carbons of
+# benzene and pyridine's nitrogen, 0 for pyrrole's [nH], furan's o and
+# thiophene's s, and for a carbon with an exocyclic double bond.
+_KEKULE_VALENCE = {"B": 3, "C": 4, "N": 3, "O": 2, "P": 3, "S": 2, "As": 3, "Se": 2}
+
+
+def kekule_form(m: Molecule) -> Molecule | None:
+    """``m`` with every aromatic bond made single or double by a perfect
+    matching of the aromatic atoms that need a double bond, and every atom
+    non-aromatic; None when no such matching exists."""
+    needy = set()
+    for i, a in enumerate(m.atoms):
+        if not a.aromatic:
+            continue
+        valence = _KEKULE_VALENCE.get(a.element)
+        if valence is None:
+            return None
+        # A charge adds a bond to N, P, As, O, S, Se and removes one from B, C.
+        valence += -abs(a.formal_charge) if a.element in ("B", "C") else a.formal_charge
+        sigma = a.h_total + sum(
+            1 if m.bonds[bi].order == AROMATIC else m.bonds[bi].order for _, bi in m.neighbors[i]
+        )
+        if valence - sigma not in (0, 1):
+            return None
+        if valence - sigma:
+            needy.add(i)
+    partners = {
+        i: [(j, bi) for j, bi in m.neighbors[i] if j in needy and m.bonds[bi].order == AROMATIC]
+        for i in needy
+    }
+    todo = sorted(needy)
+    double: dict[int, int] = {}  # matched atom -> its double bond
+
+    def extend(k: int) -> bool:
+        while k < len(todo) and todo[k] in double:
+            k += 1
+        if k == len(todo):
+            return True
+        i = todo[k]
+        for j, bi in partners[i]:
+            if j not in double:
+                double[i] = double[j] = bi
+                if extend(k + 1):
+                    return True
+                del double[i], double[j]
+        return False
+
+    if not extend(0):
+        return None
+    doubles = set(double.values())
+    bonds = tuple(
+        Bond(b.endpoints, DOUBLE if bi in doubles else SINGLE)
+        if b.order == AROMATIC else b
+        for bi, b in enumerate(m.bonds)
+    )
+    atoms = tuple(dataclasses.replace(a, aromatic=False) for a in m.atoms)
+    return Molecule(atoms=atoms, bonds=bonds, source_text="")

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from fragsmith.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fragsmith.tokenizer import Vocab, build_vocab
 
 from conftest import CORPUS_PATH, REACTIONS_PATH, ROOT
 
@@ -309,6 +310,111 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["--special-pairing", "upside-down", "tokenize", "C"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestConfigNamedFiles:
+    """A bad --templates, --vocab or --groups file is a config error."""
+
+    def _fails(self, capsys, argv, prefix):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: {prefix}"), err
+
+    def _templates(self, tmp_path, text):
+        path = tmp_path / "templates.txt"
+        path.write_text(text)
+        return path
+
+    def test_template_line_without_tab(self, small_library, tmp_path, capsys):
+        path = self._templates(tmp_path, "# header\nfragmentation Break {input}\n")
+        self._fails(capsys, [
+            "--templates", str(path), "build", "--library", str(small_library),
+            "--out", str(tmp_path / "ds"),
+        ], f"{path}:2: expected a task name, a tab and the template")
+
+    def test_template_slot_without_value(self, small_library, tmp_path, capsys):
+        path = self._templates(tmp_path, "recombination\tJoin {input} as {reaction_type}\n")
+        self._fails(capsys, [
+            "--templates", str(path), "build", "--library", str(small_library),
+            "--out", str(tmp_path / "ds"),
+        ], f"{path}:1: template slot {{reaction_type}} has no value in recombination records")
+
+    def test_template_file_without_a_task(self, small_library, tmp_path, capsys):
+        path = self._templates(tmp_path, "retrosynthesis\tMake {input}\n")
+        self._fails(capsys, [
+            "--templates", str(path), "build", "--library", str(small_library),
+            "--out", str(tmp_path / "ds"),
+        ], f"{path}: no template for task 'fragmentation'")
+
+    def test_vocab_without_a_special_token(self, tmp_path, capsys):
+        vocab = build_vocab()
+        keep = [i for i, tok in enumerate(vocab.tokens) if tok != "<BOM>"]
+        path = tmp_path / "vocab.tsv"
+        Vocab(
+            tokens=tuple(vocab.tokens[i] for i in keep),
+            classes=tuple(vocab.classes[i] for i in keep),
+        ).save(path)
+        self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"],
+                    f"{path}: missing special tokens ['<BOM>']")
+
+    def test_vocab_non_integer_id(self, tmp_path, capsys):
+        path = tmp_path / "vocab.tsv"
+        build_vocab().save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "x" + lines[2][1:]
+        path.write_text("".join(lines))
+        self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"],
+                    f"{path}:3: expected id 2")
+
+    def test_vocab_file_missing(self, tmp_path, capsys):
+        path = tmp_path / "missing.tsv"
+        self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"], "[Errno 2]")
+
+    def test_unbalanced_group_entry(self, tmp_path, capsys):
+        path = tmp_path / "groups.txt"
+        path.write_text("# groups\nC(=O\n")
+        self._fails(capsys, ["--groups", str(path), "tokenize", "CCO"],
+                    f"{path}:2: unbalanced '('")
+
+
+class TestMalformedDataset:
+    """A shard line that is not a record is an input error at shard:line."""
+
+    @pytest.fixture
+    def dataset(self, small_library, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["build", "--library", str(small_library), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        return out
+
+    def _break_line(self, shard, lineno, text):
+        lines = shard.read_text().splitlines(keepends=True)
+        lines[lineno - 1] = text + "\n"
+        shard.write_text("".join(lines))
+
+    def test_bad_json_line(self, dataset, tmp_path, capsys):
+        shard = dataset / "shard-00000.jsonl"
+        self._break_line(shard, 2, '{"id": "x", ')
+        assert main(["stats", str(dataset)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"error[io]: {shard}:2: not an instruction record: "
+        )
+
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    def test_record_without_task(self, dataset, tmp_path, capsys, command):
+        shard = dataset / "shard-00000.jsonl"
+        record = json.loads(shard.read_text().splitlines()[2])
+        del record["task"]
+        self._break_line(shard, 3, json.dumps(record))
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(f"{record['id']}\t{record['output']}\n")
+        argv = ["stats", str(dataset)]
+        if command == "eval":
+            argv = ["eval", "--dataset", str(dataset), str(preds)]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[io]: {shard}:3: not an instruction record: "), err
+        assert "'task'" in err
 
 
 def test_package_runs_as_module():

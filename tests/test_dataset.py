@@ -1,15 +1,19 @@
 import builtins
 import json
+import re
 
 import pytest
 
 from fragsmith.brics import FragmentParams, fragment
 from fragsmith.dataset import (
+    _TASK_SLOTS,
+    DatasetFormatError,
     InstructionRecord,
     LibraryFormatError,
     MissingSlotError,
     MoleculeLibrary,
     PairCounters,
+    TemplateError,
     emit_jsonl,
     fill_template,
     load_templates,
@@ -229,6 +233,27 @@ class TestFillTemplate:
         )
 
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("# c\nfragmentation Break {input}\n", 2, "expected a task name, a tab"),
+        ("reaction\tMix {input} at {temperature}\n", 1, "slot {temperature} has no value"),
+    ])
+    def test_bad_template_line_names_path_and_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "templates.txt"
+        path.write_text(text)
+        with pytest.raises(TemplateError, match=f"^{re.escape(str(path))}:{lineno}: .*{re.escape(message)}"):
+            load_templates(path)
+
+    def test_template_slots_are_the_ones_records_fill(self, vocab, default_params):
+        lib = preprocess(["OCCCN1CCOCC1"], vocab)
+        records = [
+            *make_pretrain_pairs(lib, default_params),
+            *make_finetune_pairs([(["CC(=O)O", "OCC"], "CC(=O)OCC", "esterification")], vocab),
+        ]
+        assert {r.task for r in records} == set(_TASK_SLOTS)
+        for rec in records:
+            assert {"input", *rec.meta} == _TASK_SLOTS[rec.task]
+
+
 def _sample_records(n):
     return [
         InstructionRecord(
@@ -290,6 +315,36 @@ class TestEmitJsonl:
         emit_jsonl(recs, 3, tmp_path)
         back = list(read_dataset(tmp_path))
         assert back == sorted(recs, key=lambda r: r.id)
+
+    def test_from_json_defaults_meta_and_ignores_unknown_keys(self):
+        rec = _sample_records(1)[0]
+        obj = json.loads(rec.to_json())
+        del obj["meta"]
+        obj["extra"] = 1
+        assert InstructionRecord.from_json(json.dumps(obj)) == InstructionRecord(
+            **{**vars(rec), "meta": {}}
+        )
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "rec-001"',
+        '["rec-001"]',
+        '{"id": "rec-001"}',
+        '{"id": "r", "task": "t", "direction": "d", "instruction": "i", "input": "C", "output": 5}',
+    ])
+    def test_bad_shard_line_names_shard_and_line(self, tmp_path, line):
+        emit_jsonl(_sample_records(3), 10, tmp_path)
+        shard = tmp_path / "shard-00000.jsonl"
+        lines = shard.read_text().splitlines()
+        lines[1] = line
+        shard.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(shard))}:2: not an instruction record"):
+            list(read_dataset(tmp_path))
+
+    def test_bad_manifest(self, tmp_path):
+        emit_jsonl(_sample_records(1), 10, tmp_path)
+        (tmp_path / "manifest.json").write_text('{"shards": [{"records": 1}]}')
+        with pytest.raises(DatasetFormatError, match="manifest.json: not a dataset manifest"):
+            list(read_dataset(tmp_path))
 
     def test_bad_shard_size(self, tmp_path):
         with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ from oracles import (
     component_ranks_reference,
     default_hydrogens_reference,
     graph_isomorphic,
+    kekule_form,
     parse_smiles_reference,
     sigma_valence_reference,
     small_rings_reference,
@@ -555,6 +556,23 @@ class TestAssemblyEqualsReference:
     def test_random_graphs(self, mol, seed):
         _assert_assembly_equals_reference(canonical_smiles(mol))
         _assert_assembly_equals_reference(randomized_smiles(mol, seed))
+
+    def test_kekule_forms_of_the_corpus(self, corpus_lines):
+        """The fixture is written aromatic, so its lines never reach
+        perception; their Kekule forms do, and must parse back to the
+        aromatic molecule. (Lines whose aromatic atoms admit no Kekule
+        structure, such as a neutral three-connected n, are left out.)"""
+        kekulized = 0
+        for k, smi in enumerate(corpus_lines):
+            m = parse_smiles(smi)
+            kekule = kekule_form(m) if any(a.aromatic for a in m.atoms) else None
+            if kekule is None:
+                continue
+            kekulized += 1
+            for text in (canonical_smiles(kekule), randomized_smiles(kekule, k)):
+                back = _assert_assembly_equals_reference(text)
+                assert canonical_smiles(back) == canonical_smiles(m), (smi, text)
+        assert kekulized > 850
 
 
 # Inputs that perception aromatizes, so the gate must let it run:
