@@ -29,7 +29,7 @@ from .molgraph import (
     connected_components,
     validate,
 )
-from .patterns import Pattern, compile_pattern, match_at
+from .patterns import Pattern, PatternError, compile_pattern, match_at
 
 DUMMY_LABEL_RANGE = range(1, 17)
 # The rule table's bond column -> bond order.
@@ -111,35 +111,42 @@ def load_rules(path: str | None = None) -> tuple[BricsRule, ...]:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    name = path or "brics_rules.txt"
     rules: dict[int, BricsRule] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{name}: line {lineno}"
         parts = line.split("\t")
         if len(parts) not in (3, 4):
-            raise RuleTableError(f"line {lineno}: expected 3 or 4 columns")
-        label = int(parts[0])
+            raise RuleTableError(f"{where}: expected 3 or 4 columns")
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise RuleTableError(f"{where}: label {parts[0]!r} is not an integer") from None
         if label not in DUMMY_LABEL_RANGE:
-            raise RuleTableError(f"line {lineno}: label {label} outside 1..16")
+            raise RuleTableError(f"{where}: label {label} outside 1..16")
         if label in rules:
-            raise RuleTableError(f"line {lineno}: duplicate label {label}")
-        partners = tuple(int(p) for p in parts[2].split(","))
+            raise RuleTableError(f"{where}: duplicate label {label}")
+        try:
+            partners = tuple(int(p) for p in parts[2].split(","))
+        except ValueError:
+            raise RuleTableError(f"{where}: partners {parts[2]!r} are not integers") from None
         bond_kind = _BOND_KINDS.get(parts[3]) if len(parts) == 4 else SINGLE
         if bond_kind is None:
-            raise RuleTableError(f"line {lineno}: unknown bond kind {parts[3]!r}")
+            raise RuleTableError(f"{where}: unknown bond kind {parts[3]!r}")
+        try:
+            pattern = compile_pattern(parts[1])
+        except PatternError as exc:
+            raise RuleTableError(f"{where}: pattern {parts[1]!r}: {exc}") from None
         rules[label] = BricsRule(
-            label=label,
-            pattern=compile_pattern(parts[1]),
-            partners=partners,
-            bond_kind=bond_kind,
+            label=label, pattern=pattern, partners=partners, bond_kind=bond_kind
         )
     for rule in rules.values():
         for p in rule.partners:
             if p not in rules or rule.label not in rules[p].partners:
-                raise RuleTableError(
-                    f"asymmetric pair ({rule.label}, {p}) in rule table"
-                )
+                raise RuleTableError(f"{name}: asymmetric pair ({rule.label}, {p})")
     table = tuple(rules[label] for label in sorted(rules))
     _RULES_CACHE[key] = table
     return table

@@ -71,12 +71,15 @@ def load_config_file(path: str | Path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected key=value")
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw, _FIELD_TYPES[key])
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _coerce(key, raw, _FIELD_TYPES[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

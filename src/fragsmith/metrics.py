@@ -12,12 +12,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .molgraph import (
     DOUBLE,
     Molecule,
     SmilesError,
+    atom_invariant,
     canonical_smiles,
     parse_smiles,
 )
@@ -28,27 +29,33 @@ MORGAN = "morgan"
 PATH = "path"
 KEYS = "keys"
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# Base of the path polynomial (the 64-bit FNV prime).
+_PATH_PRIME = 0x100000001B3
 
 
-def _fnv(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+def _mix(h: int, x: int) -> int:
+    """Fold the int ``x`` into the 64-bit hash ``h``: the splitmix64
+    finalizer (Steele, Lea & Flood, OOPSLA 2014) over their XOR plus the
+    golden-ratio increment."""
+    z = (h ^ x) + 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _fold(h: int, xs) -> int:
+    for x in xs:
+        h = _mix(h, x)
     return h
 
 
-# Atom invariants and Morgan environments take few distinct values (one
-# per atom kind and environment), so their hashes are memoized in a
-# bounded memo. It is keyed on the repr, not the tuple, because
-# True == 1 in a tuple key.
-_fnv_memo = lru_cache(maxsize=4096)(_fnv)
-
-
-def _hash_invariant(inv: tuple) -> int:
-    return _fnv_memo(repr(inv).encode())
+def _atom_hashes(m: Molecule, n_fields: int | None = None) -> list[int]:
+    """Per atom, the hash of the first ``n_fields`` fields (all by default)
+    of its :func:`atom_invariant`, once per distinct invariant."""
+    invariants = [atom_invariant(m, i) for i in range(len(m.atoms))]
+    codes = {inv: _fold(0, inv[:n_fields]) for inv in set(invariants)}
+    return [codes[inv] for inv in invariants]
 
 
 @dataclass(frozen=True)
@@ -71,33 +78,21 @@ class FingerprintError(ValueError):
     pass
 
 
-def _atom_invariant(m: Molecule, i: int) -> tuple:
-    a = m.atoms[i]
-    return (
-        a.element,
-        a.aromatic,
-        a.formal_charge,
-        a.h_total,
-        m.degree(i),
-        a.isotope or 0,
-        a.link_label or 0,
-    )
-
-
 def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
-    inv = [_hash_invariant(_atom_invariant(m, i)) for i in range(len(m.atoms))]
-    out = set(inv)
-    current = inv
+    """ECFP-style environments (Rogers & Hahn 2010): the atom invariant,
+    then per radius r the fold of r, the atom's last hash and its sorted
+    neighbour hashes, each XORed with its bond order."""
+    orders = [b.order for b in m.bonds]
+    current = _atom_hashes(m)
+    out = set(current)
     for r in range(1, radius + 1):
-        nxt = []
-        for i in range(len(m.atoms)):
-            env = sorted(
-                (m.bonds[bi].order, current[j])
-                for j, bi in m.neighbors[i]
-            )
-            nxt.append(_hash_invariant((r, current[i], tuple(env))))
-        out.update(nxt)
-        current = nxt
+        envs = [
+            (h, *sorted([current[j] ^ orders[bi] for j, bi in nbrs]))
+            for h, nbrs in zip(current, m.neighbors)
+        ]
+        codes = {env: _fold(r, env) for env in set(envs)}
+        current = [codes[env] for env in envs]
+        out.update(codes.values())
     return out
 
 
@@ -113,11 +108,10 @@ def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
     The last level only hashes and adds. Every path is found from both
     ends, so the set deduplicates the two traversals.
     """
-    prime = _FNV_PRIME
+    prime = _PATH_PRIME
     p2 = prime * prime & _MASK64
-    inv = [
-        _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
-    ]
+    # Atomic number, aromatic and formal charge.
+    inv = _atom_hashes(m, 3)
     bond_code = [b.order * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds]
     powers = [pow(prime, k, _MASK64 + 1) for k in range(2 * max_bonds + 1)]
     # adj[i]: (neighbour, bond code, neighbour invariant hash) triples.

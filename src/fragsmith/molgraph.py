@@ -204,6 +204,15 @@ class Molecule:
         return len(self.neighbors[idx])
 
 
+def atom_invariant(m: Molecule, i: int) -> tuple[int, ...]:
+    """Atom ``i``'s (atomic number, aromatic, formal charge, isotope, link
+    label, total hydrogens, degree): where canonical ranking starts and
+    what the fingerprints hash."""
+    a = m.atoms[i]
+    return (ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge, a.isotope or 0,
+            a.link_label or 0, a.explicit_h + a.implicit_h, len(m.neighbors[i]))
+
+
 def bond_kind(a: tuple[str, bool], order: int, b: tuple[str, bool]) -> tuple:
     """Key of a bond of ``order`` between atoms of kinds ``a`` and ``b``
     (element, aromatic), the same from either end."""
@@ -717,35 +726,31 @@ def molecular_weight(m: Molecule) -> float:
 def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) -> dict[int, int]:
     """Rank the atoms of one connected component (atom index -> rank).
 
-    Atoms are first split by their invariants (atomic number, aromatic,
-    charge, isotope, link label, hydrogens, degree, sorted bond ranks, in
-    a ring) into ordered cells of positions in ``comp``; an atom's rank is
-    the position its cell starts at. Unless that partition is already
-    discrete, each round then splits every cell next to one that split in
-    the round before (no other cell can split) by its members' sorted
-    (bond rank, neighbour rank) multisets, the parts taking its place in
-    ascending order. ``break_ties`` then moves the lowest atom index of
-    the first tied cell to its front and refines again, until every atom
-    has its own rank. The result numbers the cells densely.
+    Atoms are first split by their invariants (:func:`atom_invariant`,
+    sorted bond ranks, in a ring) into ordered cells of positions in
+    ``comp``; an atom's rank is the position its cell starts at. Unless
+    that partition is already discrete, each round then splits every cell
+    next to one that split in the round before (no other cell can split)
+    by its members' sorted (bond rank, neighbour rank) multisets, the
+    parts taking its place in ascending order. ``break_ties`` then moves
+    the lowest atom index of the first tied cell to its front and refines
+    again, until every atom has its own rank. The result numbers the cells
+    densely.
     """
     n = len(comp)
-    atoms, nbrs, ring_atoms = m.atoms, m.neighbors, m.ring_atoms
+    nbrs, ring_atoms = m.neighbors, m.ring_atoms
     # A component holding every atom is (0, ..., n - 1): range(n) maps it.
-    local = range(n) if n == len(atoms) else {a: k for k, a in enumerate(comp)}
+    local = range(n) if n == len(m.atoms) else {a: k for k, a in enumerate(comp)}
     bond_rank = [b.order for b in m.bonds]
     # (bond rank * n, neighbour); bond rank * n + neighbour rank sorts as
     # the (bond rank, neighbour rank) pair does.
     adj = [[(bond_rank[bi] * n, local[j]) for j, bi in nbrs[i]] for i in comp]
-    keyed = []
-    for k, i in enumerate(comp):
-        a = atoms[i]
-        orders = tuple(sorted([bond_rank[bi] for _, bi in nbrs[i]]))
-        keyed.append(((
-            ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge,
-            a.isotope or 0, a.link_label or 0, a.explicit_h + a.implicit_h,
-            len(orders), orders, i in ring_atoms,
-        ), k))
-    keyed.sort()
+    # The invariants are tuples of one length, so (invariant, orders, in a
+    # ring) sorts as the flat tuple of their fields does.
+    keyed = sorted([
+        ((atom_invariant(m, i), sorted([bond_rank[bi] for _, bi in nbrs[i]]), i in ring_atoms), k)
+        for k, i in enumerate(comp)
+    ])
     cells: dict[int, list[int]] = {}  # start position -> members
     rank = [0] * n
     prev = None

@@ -171,9 +171,12 @@ def _validate_group(entry: str, where: str) -> None:
         raise MalformedGroupError(f"{where}: characters {sorted(bad)} outside base rules")
 
 
-def read_group_file(path: str | Path | None = None) -> list[str]:
+def read_group_file(
+    path: str | Path | None = None, reserved: set[str] | frozenset[str] = frozenset()
+) -> list[str]:
     """Read functional-group entries (one per line, ``#`` comments); raises
-    MalformedGroupError naming ``path:line`` for a bad entry."""
+    MalformedGroupError naming ``path:line`` for a bad entry, and
+    DuplicateTokenError for one in ``reserved`` or on an earlier line."""
     if path is None:
         text = resources.files("fragsmith.data").joinpath(
             "functional_groups.txt"
@@ -190,7 +193,10 @@ def read_group_file(path: str | Path | None = None) -> list[str]:
         entry = re.split(r"\s#", line, 1)[0].strip()
         if not entry:
             continue
-        _validate_group(entry, f"{path or 'functional_groups.txt'}:{lineno}")
+        where = f"{path or 'functional_groups.txt'}:{lineno}"
+        _validate_group(entry, where)
+        if entry in reserved or entry in out:
+            raise DuplicateTokenError(f"{where}: duplicate token {entry!r}")
         out.append(entry)
     return out
 
@@ -201,8 +207,6 @@ def build_vocab(group_file: str | Path | None = None) -> Vocab:
     ``group_file`` defaults to the shipped 180-entry table; pass a path
     to substitute it. Duplicate tokens anywhere raise DuplicateTokenError.
     """
-    groups = read_group_file(group_file)
-
     tokens: list[str] = []
     classes: list[str] = []
     seen: set[str] = set()
@@ -220,7 +224,7 @@ def build_vocab(group_file: str | Path | None = None) -> Vocab:
         add(tok, CLASS_DUMMY)
     for tok in _default_base_tokens():
         add(tok, CLASS_BASE)
-    for tok in groups:
+    for tok in read_group_file(group_file, reserved=seen):
         add(tok, CLASS_GROUP)
     return Vocab(tokens=tuple(tokens), classes=tuple(classes))
 

@@ -510,21 +510,21 @@ def write_smiles_reference(m, rng=None):
 
 # The linear-path fingerprint walk as first written: an explicit DFS
 # stack of 6-tuple frames with neighbour iterators, kept to pin the
-# current one to it.
+# current one to it. Its atom input is the package's own
+# ``metrics._atom_hashes(m, 3)`` (atomic number, aromatic, formal charge
+# folded by ``metrics._mix``): the walk is pinned, the atom hash is not.
 _PATH_BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
 def path_hashes_reference(m, max_bonds=7):
-    from fragsmith.metrics import _FNV_PRIME, _MASK64, _hash_invariant
+    from fragsmith.metrics import _MASK64, _PATH_PRIME, _atom_hashes
 
-    inv = [
-        _hash_invariant((a.element, a.aromatic, a.formal_charge)) for a in m.atoms
-    ]
+    inv = _atom_hashes(m, 3)
     bond_code = [
         _PATH_BOND_CODE[b.order] * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds
     ]
     out = set()
-    prime = _FNV_PRIME
+    prime = _PATH_PRIME
 
     for start in range(len(m.atoms)):
         on_path = [False] * len(m.atoms)

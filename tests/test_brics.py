@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -247,6 +248,17 @@ class TestRuleTable:
         bad = tmp_path / "rules.txt"
         bad.write_text("1\t[C]\t2\tSingle\n2\t[N]\t1\tSingle\n")
         with pytest.raises(RuleTableError, match="line 1: unknown bond kind 'Single'"):
+            load_rules(str(bad))
+
+    @pytest.mark.parametrize("row, message", [
+        ("x\t[C]\t2\tsingle", "label 'x' is not an integer"),
+        ("1\t[C]\t2;3\tsingle", "partners '2;3' are not integers"),
+        ("1\t[C\t2\tsingle", "pattern '[C': "),
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row, message):
+        bad = tmp_path / "rules.txt"
+        bad.write_text(f"# header\n2\t[N]\t1\tsingle\n{row}\n")
+        with pytest.raises(RuleTableError, match=re.escape(f"{bad}: line 3: {message}")):
             load_rules(str(bad))
 
     def test_bad_label_rejected(self, tmp_path):

@@ -285,6 +285,17 @@ class TestConfig:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "no.cfg"), "tokenize", "C"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text, message", [
+        ("x=\n", "2: unknown key 'x'"),
+        ("seed\n", "2: expected key=value"),
+        ("seed = banana\n", "2: seed: expected a number, got 'banana'"),
+    ])
+    def test_config_errors_name_path_and_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# header\n" + text)
+        assert main(["--config", str(cfg), "tokenize", "CCO"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error[config]: {cfg}:{message}\n"
+
     def test_env_override(self, small_library, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FRAGSMITH_SEED", "99")
         out = tmp_path / "ds"
@@ -375,6 +386,12 @@ class TestConfigNamedFiles:
         path.write_text("# groups\nC(=O\n")
         self._fails(capsys, ["--groups", str(path), "tokenize", "CCO"],
                     f"{path}:2: unbalanced '('")
+
+    def test_group_entry_duplicating_a_base_token(self, tmp_path, capsys):
+        path = tmp_path / "groups.txt"
+        path.write_text("C\n")
+        self._fails(capsys, ["--groups", str(path), "tokenize", "CCO"],
+                    f"{path}:1: duplicate token 'C'")
 
 
 class TestMalformedDataset:

@@ -15,16 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from fragsmith import metrics
 from fragsmith.brics import cut_bonds, find_brics_bonds, load_rules
-from fragsmith.metrics import (
-    _KEY_PATTERNS,
-    KEYS,
-    MORGAN,
-    PATH,
-    _path_hashes,
-    fingerprint,
-)
+from fragsmith.metrics import _KEY_PATTERNS, _path_hashes
 from fragsmith.molgraph import parse_smiles, randomized_smiles
 from fragsmith.patterns import compile_pattern, has_match, match_at
 
@@ -119,17 +111,3 @@ def test_custom_patterns_match_somewhere(graphs):
     # aromatic.
     matched = {p.text for m in graphs for p in CUSTOM_PATTERNS if has_match(p, m)}
     assert {p.text for p in CUSTOM_PATTERNS} - matched == {"C1=CC=CC=C1"}
-
-
-def test_fingerprints_do_not_depend_on_the_hash_memo(graphs, monkeypatch):
-    schemes = (MORGAN, PATH, KEYS)
-    warm = [[fingerprint(m, s) for s in schemes] for m in graphs if m.validity.valid]
-    cold = []
-    for m in graphs:
-        if m.validity.valid:
-            metrics._fnv_memo.cache_clear()
-            cold.append([fingerprint(m, s) for s in schemes])
-    assert cold == warm
-    monkeypatch.setattr(metrics, "_fnv_memo", metrics._fnv)
-    plain = [[fingerprint(m, s) for s in schemes] for m in graphs if m.validity.valid]
-    assert plain == warm

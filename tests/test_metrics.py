@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -27,6 +30,7 @@ from fragsmith.molgraph import (
     validate,
 )
 
+from conftest import ROOT
 from oracles import bleu_reference, levenshtein_matrix
 
 
@@ -135,6 +139,33 @@ class TestFingerprint:
             again = parse_smiles(canonical_smiles(m))
             for scheme in (MORGAN, PATH, KEYS):
                 assert fingerprint(again, scheme) == fingerprint(m, scheme), (smi, scheme)
+
+    def test_same_bits_in_every_process(self, corpus_lines):
+        # The hash folds ints only, so string hashing (PYTHONHASHSEED)
+        # must not reach a bit.
+        sample = corpus_lines[::150]
+        script = (
+            "import sys\n"
+            "from fragsmith.metrics import fingerprint\n"
+            "from fragsmith.molgraph import parse_smiles\n"
+            "for smi in sys.argv[1:]:\n"
+            "    m = parse_smiles(smi)\n"
+            "    print(*(fingerprint(m, s).bits for s in ('morgan', 'path', 'keys')))\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *sample],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        here = "".join(
+            " ".join(str(fingerprint(parse_smiles(smi), s).bits) for s in (MORGAN, PATH, KEYS)) + "\n"
+            for smi in sample
+        )
+        assert outputs == [here, here]
 
     def test_kekule_vs_aromatic_same_bits(self):
         a = fingerprint(parse_smiles("c1ccccc1"), MORGAN)

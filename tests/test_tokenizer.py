@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,17 @@ class TestBuildVocab:
         path = tmp_path / "groups.txt"
         path.write_text("[1*]\n")
         with pytest.raises(DuplicateTokenError):
+            build_vocab(group_file=path)
+
+    @pytest.mark.parametrize("text, line, entry", [
+        ("c1ccccc1\n# again\nc1ccccc1\n", 3, "c1ccccc1"),
+        ("[16*]\n", 1, "[16*]"),
+        ("Cl\n", 1, "Cl"),
+    ])
+    def test_duplicate_group_names_path_and_line(self, tmp_path, text, line, entry):
+        path = tmp_path / "groups.txt"
+        path.write_text(text)
+        with pytest.raises(DuplicateTokenError, match=re.escape(f"{path}:{line}: duplicate token {entry!r}")):
             build_vocab(group_file=path)
 
     @pytest.mark.parametrize("entry", ["C(F", "C)F", "[nH", "C?O", "Çl"])
