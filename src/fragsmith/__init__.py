@@ -10,6 +10,7 @@ from .brics import (
     BricsBond,
     FragmentParams,
     FragmentSet,
+    RuleTable,
     cut_bonds,
     find_brics_bonds,
     fragment,
@@ -62,6 +63,7 @@ __all__ = [
     "InstructionRecord",
     "Molecule",
     "MoleculeLibrary",
+    "RuleTable",
     "SmilesError",
     "TokenStream",
     "ValidityReport",

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from importlib import resources
+from dataclasses import dataclass, field
+from functools import cache
 
+from .config import read_data_lines
 from .molgraph import (
     AROMATIC,
     DOUBLE,
@@ -98,27 +99,53 @@ class FragmentSet:
     seed: int | None = None
 
 
-_RULES_CACHE: dict[str, tuple[BricsRule, ...]] = {}
+@dataclass(frozen=True)
+class RuleTable:
+    """A link-environment rule table and the index built from it once.
+
+    ``pairs`` are the single-bond (label, partner) pairs in preference
+    order. ``by_kind`` maps an (element, aromatic) atom kind to the rules
+    whose pattern root is pinned to it plus the unpinned ones;
+    ``unpinned`` holds the unpinned ones alone, for every other kind. A
+    label in no single-bond pair never decides a cut, so its rule is in
+    neither. ``partners`` maps each label to its permitted partners.
+    """
+
+    rules: tuple[BricsRule, ...]
+    pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+    by_kind: dict[tuple[str, bool], tuple[BricsRule, ...]] = field(init=False, compare=False)
+    unpinned: tuple[BricsRule, ...] = field(init=False, compare=False)
+    partners: dict[int, tuple[int, ...]] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        pairs = tuple(sorted(
+            (rule.label, p)
+            for rule in self.rules
+            if rule.bond_kind == SINGLE
+            for p in rule.partners
+            if p >= rule.label
+        ))
+        used = [r for r in self.rules if any(r.label in pair for pair in pairs)]
+        unpinned = tuple(r for r in used if r.pattern.root_kind is None)
+        by_kind: dict[tuple[str, bool], tuple[BricsRule, ...]] = {}
+        for r in used:
+            kind = r.pattern.root_kind
+            if kind is not None:
+                by_kind[kind] = by_kind.get(kind, unpinned) + (r,)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "by_kind", by_kind)
+        object.__setattr__(self, "unpinned", unpinned)
+        object.__setattr__(self, "partners", {r.label: r.partners for r in self.rules})
 
 
-def load_rules(path: str | None = None) -> tuple[BricsRule, ...]:
-    """Load (and cache) the link-environment rule table."""
-    key = path or "<default>"
-    if key in _RULES_CACHE:
-        return _RULES_CACHE[key]
-    if path is None:
-        text = resources.files("fragsmith.data").joinpath("brics_rules.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    name = path or "brics_rules.txt"
+def load_rules(path: str | None = None) -> RuleTable:
+    """Read the link-environment rule table at ``path`` (default: the
+    shipped one). The file is read on every call; a malformed row raises
+    RuleTableError naming ``PATH:LINE``."""
     rules: dict[int, BricsRule] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{name}: line {lineno}"
-        parts = line.split("\t")
+    where_of: dict[int, str] = {}
+    for where, line in read_data_lines(path, "brics_rules.txt"):
+        parts = line.strip().split("\t")
         if len(parts) not in (3, 4):
             raise RuleTableError(f"{where}: expected 3 or 4 columns")
         try:
@@ -143,13 +170,20 @@ def load_rules(path: str | None = None) -> tuple[BricsRule, ...]:
         rules[label] = BricsRule(
             label=label, pattern=pattern, partners=partners, bond_kind=bond_kind
         )
+        where_of[label] = where
     for rule in rules.values():
         for p in rule.partners:
             if p not in rules or rule.label not in rules[p].partners:
-                raise RuleTableError(f"{name}: asymmetric pair ({rule.label}, {p})")
-    table = tuple(rules[label] for label in sorted(rules))
-    _RULES_CACHE[key] = table
-    return table
+                raise RuleTableError(
+                    f"{where_of[rule.label]}: asymmetric pair ({rule.label}, {p})"
+                )
+    return RuleTable(tuple(rules[label] for label in sorted(rules)))
+
+
+@cache
+def default_rules() -> RuleTable:
+    """The shipped rule table, read once per process."""
+    return load_rules()
 
 
 def max_fragments(length: int, k: int, alpha: float) -> int:
@@ -167,40 +201,7 @@ def max_fragments(length: int, k: int, alpha: float) -> int:
     return min(length, math.ceil(chunks**alpha))
 
 
-# id(rules) -> (rules, pairs, rules by atom kind, unpinned rules); holding
-# the table keeps its id unique.
-_INDEX_CACHE: dict[int, tuple] = {}
-
-
-def _rule_index(rules: tuple[BricsRule, ...]) -> tuple:
-    """The table's single-bond (label, partner) pairs in preference order;
-    per (element, aromatic) kind, the rules whose pattern root is pinned
-    to it plus the unpinned ones; and the unpinned ones alone, for every
-    other kind. A label in no single-bond pair never decides a cut, so
-    its rule is left out."""
-    hit = _INDEX_CACHE.get(id(rules))
-    if hit is None:
-        pairs = tuple(sorted(
-            (rule.label, p)
-            for rule in rules
-            if rule.bond_kind == SINGLE
-            for p in rule.partners
-            if p >= rule.label
-        ))
-        used = [r for r in rules if any(r.label in pair for pair in pairs)]
-        unpinned = tuple(r for r in used if r.pattern.root_kind is None)
-        by_kind: dict[tuple[str, bool], tuple[BricsRule, ...]] = {}
-        for r in used:
-            kind = r.pattern.root_kind
-            if kind is not None:
-                by_kind[kind] = by_kind.get(kind, unpinned) + (r,)
-        hit = _INDEX_CACHE[id(rules)] = (rules, pairs, by_kind, unpinned)
-    return hit[1:]
-
-
-def find_brics_bonds(
-    m: Molecule, rules: tuple[BricsRule, ...] | None = None
-) -> list[BricsBond]:
+def find_brics_bonds(m: Molecule, rules: RuleTable | None = None) -> list[BricsBond]:
     """Every cleavable bond of ``m`` in bond-index order.
 
     A bond qualifies when it is single, acyclic, and its endpoint
@@ -214,9 +215,8 @@ def find_brics_bonds(
     """
     if any(a.is_dummy for a in m.atoms):
         raise FragmentationError("molecule already contains dummy atoms")
-    if rules is None:
-        rules = load_rules()
-    pairs, by_kind, unpinned = _rule_index(rules)
+    table = default_rules() if rules is None else rules
+    pairs, by_kind, unpinned = table.pairs, table.by_kind, table.unpinned
     labels: dict[int, set[int]] = {}
 
     def labels_of(i: int) -> set[int]:
@@ -257,7 +257,7 @@ def fragment_cap(m: Molecule, params: FragmentParams) -> int:
 def fragment(
     m: Molecule,
     params: FragmentParams,
-    rules: tuple[BricsRule, ...] | None = None,
+    rules: RuleTable | None = None,
 ) -> FragmentSet:
     """Cut a cap-compliant subset of the cleavable bonds of ``m``.
 

@@ -32,7 +32,7 @@ from .dataset import (
 )
 from .metrics import evaluate
 from .molgraph import SmilesError, molecular_weight, parse_smiles
-from .tokenizer import MOLECULE, TokenizerError, Vocab, build_vocab, tokenize
+from .tokenizer import MOLECULE, TokenizerError, UntokenizableError, Vocab, build_vocab, tokenize
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -151,13 +151,11 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
     counters = PairCounters()
     records = list(make_pretrain_pairs(lib, params, templates, counters))
     if args.reactions:
-        if not Path(args.reactions).exists():
-            raise CliInputError(f"cannot read {args.reactions}: no such file")
-        records.extend(
-            make_finetune_pairs(
-                read_reactions(args.reactions, counters), vocab, templates, counters
-            )
-        )
+        try:
+            reactions = list(read_reactions(args.reactions, counters))
+        except OSError as exc:
+            raise CliInputError(f"cannot read {args.reactions}: {exc}") from None
+        records.extend(make_finetune_pairs(reactions, vocab, templates, counters))
     out_dir = args.out or cfg.out
     manifest = emit_jsonl(
         records,
@@ -362,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         _fail("io", str(exc))
         return EXIT_IO
-    except (SmilesError, FragmentationError) as exc:
+    except (SmilesError, FragmentationError, UntokenizableError) as exc:
         _fail("input", str(exc))
         return EXIT_ERROR
     except (ValueError, OSError) as exc:

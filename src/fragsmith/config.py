@@ -1,18 +1,34 @@
 """Pipeline configuration: key=value file, FRAGSMITH_* env overrides,
-then command-line flags, in increasing precedence."""
+then command-line flags, in increasing precedence; and the one reader of
+the line-based data files the package ships."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Iterator, get_args, get_type_hints
 
 ENV_PREFIX = "FRAGSMITH_"
 
 
 class ConfigError(ValueError):
     pass
+
+
+def read_data_lines(path: str | Path | None, shipped: str) -> Iterator[tuple[str, str]]:
+    """Yield ``(PATH:LINE, line)`` for every line of ``path`` that is not
+    blank and does not start with ``#``. Without a path, read the
+    package's data file ``shipped``, named by that file name. The file is
+    read on every call."""
+    if path is None:
+        name, text = shipped, resources.files("fragsmith.data").joinpath(shipped).read_text()
+    else:
+        name, text = path, Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield f"{name}:{lineno}", line
 
 
 @dataclass

@@ -15,12 +15,12 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
-from importlib import resources
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .brics import FragmentParams, fragment
+from .config import read_data_lines
 from .molgraph import (
     SmilesError,
     canonical_smiles,
@@ -224,40 +224,34 @@ def preprocess(
 
 # --- templates -------------------------------------------------------------
 
-_TEMPLATE_CACHE: dict[str, dict[str, str]] = {}
 _SLOT_RE = re.compile(r"\{(\w+)\}")
 
 
 def load_templates(path: str | Path | None = None) -> dict[str, str]:
-    """Read ``task<TAB>template`` lines (``#`` comments). Raises TemplateError
-    at ``path:line`` for a line without a tab or a slot its records lack."""
-    key = str(path) if path else "<default>"
-    if key in _TEMPLATE_CACHE:
-        return _TEMPLATE_CACHE[key]
-    if path is None:
-        text = resources.files("fragsmith.data").joinpath("templates.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    where = path or "templates.txt"
+    """Read ``task<TAB>template`` lines (``#`` comments) from ``path``
+    (default: the shipped file), on every call. Raises TemplateError at
+    ``path:line`` for a line without a tab or a slot its records lack."""
     templates: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for where, line in read_data_lines(path, "templates.txt"):
         task, tab, template = line.partition("\t")
         if not tab:
-            raise TemplateError(f"{where}:{lineno}: expected a task name, a tab and the template")
+            raise TemplateError(f"{where}: expected a task name, a tab and the template")
         task, template = task.strip(), template.strip()
         slots = _TASK_SLOTS.get(task)
         unfilled = [s for s in _SLOT_RE.findall(template) if slots and s not in slots]
         if unfilled:
             raise TemplateError(
-                f"{where}:{lineno}: template slot {{{unfilled[0]}}} has no value "
+                f"{where}: template slot {{{unfilled[0]}}} has no value "
                 f"in {task} records"
             )
         templates[task] = template
-    _TEMPLATE_CACHE[key] = templates
     return templates
+
+
+@cache
+def default_templates() -> dict[str, str]:
+    """The shipped templates, read once per process."""
+    return load_templates()
 
 
 def fill_template(
@@ -273,7 +267,7 @@ def fill_template(
     template.
     """
     if templates is None:
-        templates = load_templates()
+        templates = default_templates()
     if task not in templates:
         raise MissingSlotError(f"no template for task {task!r}")
     template = templates[task]

@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 from .molgraph import (
     DOUBLE,
@@ -23,7 +23,7 @@ from .molgraph import (
     parse_smiles,
 )
 from .parallel import ordered_map
-from .patterns import compile_pattern, has_match
+from .patterns import Pattern, compile_pattern, has_match
 
 MORGAN = "morgan"
 PATH = "path"
@@ -228,14 +228,11 @@ def _computed_keys(m: Molecule) -> list[bool]:
 _N_COMPUTED = 29
 KEY_TABLE_SIZE = len(_KEY_ELEMENTS) + _N_COMPUTED + len(_KEY_PATTERNS)
 
-_COMPILED_KEYS = None
 
-
-def _compiled_key_patterns():
-    global _COMPILED_KEYS
-    if _COMPILED_KEYS is None:
-        _COMPILED_KEYS = [compile_pattern(p) for p in _KEY_PATTERNS]
-    return _COMPILED_KEYS
+@cache
+def _compiled_key_patterns() -> tuple[Pattern, ...]:
+    """The structural-key patterns, compiled once per process."""
+    return tuple(compile_pattern(p) for p in _KEY_PATTERNS)
 
 
 def _keys_bits(m: Molecule) -> list[bool]:

@@ -13,7 +13,7 @@ Two modes are exposed:
 
 from __future__ import annotations
 
-from .brics import BricsRule, FragmentSet, load_rules
+from .brics import FragmentSet, RuleTable, default_rules
 from .molgraph import (
     SINGLE,
     Atom,
@@ -95,7 +95,7 @@ def _splice(atoms: list[Atom], bonds: list[tuple[int, int, Bond]], dummy_pairs) 
     return Molecule(atoms=atoms_t, bonds=bonds_t, source_text=canonical_smiles(merged))
 
 
-def rejoin(fs: FragmentSet, rules: tuple[BricsRule, ...] | None = None) -> Molecule:
+def rejoin(fs: FragmentSet, rules: RuleTable | None = None) -> Molecule:
     """Reconnect a fragment set into its parent molecule.
 
     With provenance the recorded dummy pairs are spliced directly.
@@ -117,7 +117,7 @@ def rejoin(fs: FragmentSet, rules: tuple[BricsRule, ...] | None = None) -> Molec
 
 def pair_by_labels(
     fragments: tuple[Molecule, ...],
-    rules: tuple[BricsRule, ...] | None = None,
+    rules: RuleTable | None = None,
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Pair complementary dummy atoms across fragments by link labels.
 
@@ -128,7 +128,7 @@ def pair_by_labels(
     AmbiguousRejoinError is raised. Leftover or impossible labels raise
     UnpairedLabelError.
     """
-    by_label = {r.label: r for r in (load_rules() if rules is None else rules)}
+    partners = (default_rules() if rules is None else rules).partners
     dummies: list[tuple[int, int, int]] = []  # (frag, atom, label)
     for fi, frag in enumerate(fragments):
         for ai, atom in enumerate(frag.atoms):
@@ -150,9 +150,7 @@ def pair_by_labels(
         canon[fi] = canonical_smiles(frag)
 
     def compatible(la: int, lb: int) -> bool:
-        pa = by_label[la].partners if la in by_label else ()
-        pb = by_label[lb].partners if lb in by_label else ()
-        return lb in pa or la in pb
+        return lb in partners.get(la, ()) or la in partners.get(lb, ())
 
     # Most-constrained-first: repeatedly resolve a dummy whose compatible
     # counterparts are all symmetry-equivalent, so the greedy choice can

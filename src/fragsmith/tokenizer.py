@@ -13,8 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
+
+from .config import read_data_lines
 
 SPECIAL_TOKENS = ("<BOF>", "<EOF>", "<BOM>", "<EOM>")
 DUMMY_TOKENS = tuple(f"[{i}*]" for i in range(1, 17))
@@ -177,23 +178,11 @@ def read_group_file(
     """Read functional-group entries (one per line, ``#`` comments); raises
     MalformedGroupError naming ``path:line`` for a bad entry, and
     DuplicateTokenError for one in ``reserved`` or on an earlier line."""
-    if path is None:
-        text = resources.files("fragsmith.data").joinpath(
-            "functional_groups.txt"
-        ).read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     out: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for where, line in read_data_lines(path, "functional_groups.txt"):
         # '#' is also the triple-bond character, so a comment only starts
         # at the line head or after whitespace.
-        if line.lstrip().startswith("#"):
-            continue
         entry = re.split(r"\s#", line, 1)[0].strip()
-        if not entry:
-            continue
-        where = f"{path or 'functional_groups.txt'}:{lineno}"
         _validate_group(entry, where)
         if entry in reserved or entry in out:
             raise DuplicateTokenError(f"{where}: duplicate token {entry!r}")

@@ -106,7 +106,7 @@ class TestFindBricsBonds:
         for smi in corpus_lines + _EXTRA_SMILES:
             m = parse_smiles(smi)
             found = [(bb.bond_index, bb.labels) for bb in find_brics_bonds(m, rules)]
-            assert found == brics_bonds_full_scan(m, rules), smi
+            assert found == brics_bonds_full_scan(m, rules.rules), smi
 
     @pytest.mark.parametrize("table", _CROSS_KIND_TABLES)
     def test_equals_full_scan_on_cross_kind_tables(self, table, corpus_lines, tmp_path):
@@ -117,7 +117,7 @@ class TestFindBricsBonds:
         for smi in corpus_lines + _EXTRA_SMILES:
             m = parse_smiles(smi)
             found = [(bb.bond_index, bb.labels) for bb in find_brics_bonds(m, rules)]
-            assert found == brics_bonds_full_scan(m, rules), smi
+            assert found == brics_bonds_full_scan(m, rules.rules), smi
             cut += len(found)
         assert cut > 0
 
@@ -222,12 +222,12 @@ class TestFragment:
 
 class TestRuleTable:
     def test_loads_sixteen_environments(self):
-        rules = load_rules()
+        rules = load_rules().rules
         assert len(rules) == 16
         assert [r.label for r in rules] == list(range(1, 17))
 
     def test_partner_symmetry(self):
-        rules = {r.label: r for r in load_rules()}
+        rules = {r.label: r for r in load_rules().rules}
         for r in rules.values():
             for p in r.partners:
                 assert r.label in rules[p].partners
@@ -247,7 +247,7 @@ class TestRuleTable:
     def test_unknown_bond_kind_rejected(self, tmp_path):
         bad = tmp_path / "rules.txt"
         bad.write_text("1\t[C]\t2\tSingle\n2\t[N]\t1\tSingle\n")
-        with pytest.raises(RuleTableError, match="line 1: unknown bond kind 'Single'"):
+        with pytest.raises(RuleTableError, match=":1: unknown bond kind 'Single'"):
             load_rules(str(bad))
 
     @pytest.mark.parametrize("row, message", [
@@ -258,7 +258,7 @@ class TestRuleTable:
     def test_malformed_row_names_path_and_line(self, tmp_path, row, message):
         bad = tmp_path / "rules.txt"
         bad.write_text(f"# header\n2\t[N]\t1\tsingle\n{row}\n")
-        with pytest.raises(RuleTableError, match=re.escape(f"{bad}: line 3: {message}")):
+        with pytest.raises(RuleTableError, match=re.escape(f"{bad}:3: {message}")):
             load_rules(str(bad))
 
     def test_bad_label_rejected(self, tmp_path):
@@ -273,3 +273,12 @@ class TestRuleTable:
         rules = load_rules(str(table))
         bonds = find_brics_bonds(parse_smiles("OCCCN1CCOCC1"), rules)
         assert len(bonds) == 1
+
+    def test_table_rewritten_in_place_loads_its_new_rules(self, tmp_path):
+        table = tmp_path / "rules.txt"
+        table.write_text("1\t[C]\t2\tsingle\n2\t[N]\t1\tsingle\n")
+        assert [r.pattern.text for r in load_rules(str(table)).rules] == ["[C]", "[N]"]
+        table.write_text("1\t[O]\t2\tsingle\n2\t[S]\t1\tsingle\n")
+        rules = load_rules(str(table))
+        assert [r.pattern.text for r in rules.rules] == ["[O]", "[S]"]
+        assert [bb.labels for bb in find_brics_bonds(parse_smiles("COSC"), rules)] == [(1, 2)]

@@ -121,6 +121,16 @@ class TestBuildCommand:
         assert summary["skipped_malformed"] == 1
         assert summary["skipped_empty"] == 1
 
+    @pytest.mark.parametrize("name", ["missing.tsv", "a-directory"])
+    def test_unreadable_reactions(self, small_library, tmp_path, name, capsys):
+        (tmp_path / "a-directory").mkdir()
+        reactions = tmp_path / name
+        assert main([
+            "build", "--library", str(small_library), "--reactions", str(reactions),
+            "--out", str(tmp_path / "d"),
+        ]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error[io]: cannot read {reactions}: ")
+
     def test_missing_library(self, tmp_path, capsys):
         assert main(["build", "--library", str(tmp_path / "no.tsv")]) == EXIT_IO
         assert "error[io]" in capsys.readouterr().err
@@ -149,6 +159,10 @@ class TestTokenizeCommand:
             "--special-pairing", "paper", "tokenize", "CCO", "--show-tokens",
         ]) == EXIT_OK
         assert "<BOF>" in capsys.readouterr().out
+
+    def test_untokenizable_text_is_an_input_error(self, capsys):
+        assert main(["tokenize", "C\u20acC"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[input]: character '\u20ac' at position 1")
 
     def test_fragment_kind(self, capsys):
         assert main(["tokenize", "[1*]CC", "--kind", "fragment_set", "--show-tokens"]) == EXIT_OK

@@ -232,6 +232,13 @@ class TestFillTemplate:
             "Make CCO please"
         )
 
+    def test_template_file_rewritten_in_place_loads_its_new_text(self, tmp_path):
+        path = tmp_path / "templates.txt"
+        path.write_text("retrosynthesis\tMake {input} please\n")
+        assert load_templates(path) == {"retrosynthesis": "Make {input} please"}
+        path.write_text("retrosynthesis\tUnmake {input}\n")
+        assert load_templates(path) == {"retrosynthesis": "Unmake {input}"}
+
 
     @pytest.mark.parametrize("text, lineno, message", [
         ("# c\nfragmentation Break {input}\n", 2, "expected a task name, a tab"),

@@ -24,7 +24,7 @@ from oracles import match_at_reference, path_hashes_reference
 from test_random_graphs import molecule_graphs
 
 KEY_PATTERNS = [compile_pattern(t) for t in _KEY_PATTERNS]
-RULE_PATTERNS = [r.pattern for r in load_rules()]
+RULE_PATTERNS = [r.pattern for r in load_rules().rules]
 
 # Ring closures (including ones parallel to an anchor bond), plain and
 # constrained =/# bonds, $() and ! in one list.

@@ -1,6 +1,6 @@
 """Every name a package module imports at module level is used in it,
 every module-level private name is read somewhere in the package, and
-no module calls ``str.isdigit``.
+no module calls ``str.isdigit`` or keeps state between calls.
 
 No linter ships with the project, so this parses each module with
 ``ast``. ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -103,3 +103,81 @@ def test_no_isdigit_calls(path):
 def test_check_sees_an_isdigit_call():
     source = "def f(s):\n    x = s.strip()\n    return x.isdigit() and int(x)\n"
     assert _isdigit_calls(source) == [3]
+
+
+def _is_cache_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def _is_empty_binding(value: ast.expr | None) -> bool:
+    if isinstance(value, ast.Call):
+        return (
+            isinstance(value.func, ast.Name) and value.func.id in ("set", "dict")
+            and not value.args and not value.keywords
+        )
+    return (
+        isinstance(value, ast.Dict) and not value.keys
+        or isinstance(value, ast.List) and not value.elts
+        or isinstance(value, ast.Constant) and value.value is None
+    )
+
+
+def _process_state(source: str) -> list[str]:
+    """State a module keeps between calls: ``global`` statements,
+    module-level names bound to ``{}``, ``[]``, ``set()``, ``dict()`` or
+    ``None``, and ``cache``/``lru_cache`` on a function with arguments.
+    Each outlives its caller, so one call's input can change the next
+    call's result."""
+    tree = ast.parse(source)
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Global):
+            found.append(f"global {', '.join(n.names)} (line {n.lineno})")
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = n.args
+            takes_arguments = a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
+            if takes_arguments and any(_is_cache_decorator(d) for d in n.decorator_list):
+                found.append(f"cached {n.name}() (line {n.lineno})")
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_binding(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(
+                f"{n.id} (line {node.lineno})"
+                for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+            )
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_state(path):
+    assert _process_state(path.read_text()) == []
+
+
+def test_check_sees_process_state():
+    source = (
+        "import functools\n"
+        "from functools import cache\n"
+        "_TABLES: dict[str, list] = {}\n"
+        "_SEEN = set()\n"
+        "_LAST = None\n"
+        "_SHIPPED = (1, 2)\n"
+        "def load(path):\n"
+        "    global _LAST\n"
+        "    _LAST = path\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def parse(text):\n"
+        "    return text\n"
+        "@cache\n"
+        "def shipped():\n"
+        "    return parse('x')\n"
+    )
+    assert sorted(_process_state(source)) == sorted([
+        "global _LAST (line 8)",
+        "cached parse() (line 11)",
+        "_TABLES (line 3)",
+        "_SEEN (line 4)",
+        "_LAST (line 5)",
+    ])
