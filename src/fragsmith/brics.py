@@ -96,7 +96,6 @@ class FragmentSet:
     parent_canonical: str
     cleaved: tuple[BricsBond, ...]
     provenance: tuple[tuple[tuple[int, int], tuple[int, int]], ...] | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -283,12 +282,10 @@ def fragment(
     else:
         chosen = list(eligible)
 
-    return cut_bonds(m, chosen, seed=params.seed)
+    return cut_bonds(m, chosen)
 
 
-def cut_bonds(
-    m: Molecule, chosen: list[BricsBond], seed: int | None = None
-) -> FragmentSet:
+def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
     """Cut an explicit list of bonds, inserting labeled dummies per side."""
     parent = canonical_smiles(m)
     if not chosen:
@@ -297,7 +294,6 @@ def cut_bonds(
             parent_canonical=parent,
             cleaved=(),
             provenance=(),
-            seed=seed,
         )
 
     cut_ids = {bb.bond_index for bb in chosen}
@@ -348,5 +344,4 @@ def cut_bonds(
         parent_canonical=parent,
         cleaved=tuple(chosen),
         provenance=tuple(provenance),
-        seed=seed,
     )

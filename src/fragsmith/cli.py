@@ -13,10 +13,9 @@ import sys
 from pathlib import Path
 
 from .brics import FragmentationError, FragmentParams, fragment, fragment_cap
-from .config import ConfigError, PipelineConfig, resolve_config
+from .config import ConfigError, PipelineConfig, UnreadableFileError, read_lines, resolve_config
 from .dataset import (
     DatasetFormatError,
-    InstructionRecord,
     LibraryFormatError,
     MissingSlotError,
     MoleculeLibrary,
@@ -60,35 +59,10 @@ def _vocab_from(cfg: PipelineConfig) -> Vocab:
         raise ConfigError(str(exc)) from None
 
 
-def _read_dataset(path: str) -> list[InstructionRecord]:
-    try:
-        return list(read_dataset(path))
-    except OSError as exc:
-        raise CliInputError(f"cannot read dataset {path}: {exc}") from None
-    except DatasetFormatError as exc:
-        raise CliInputError(str(exc)) from None
-
-
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from None
-
-
 def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     vocab = _vocab_from(cfg)
-
-    def stream():
-        try:
-            with open(args.corpus, encoding="utf-8") as fh:
-                yield from fh
-        except OSError as exc:
-            raise CliInputError(f"cannot read {args.corpus}: {exc}") from None
-
-    lib = preprocess(stream(), vocab)
-    out = Path(args.out or cfg.out)
+    lib = preprocess((line for _, line in read_lines(args.corpus)), vocab)
+    out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lib.save(out)
     stats = {
@@ -114,14 +88,14 @@ def _cmd_fragment(args, cfg: PipelineConfig) -> int:
     if args.file:
         # A bad line is reported with its location; the rest still run.
         failed = False
-        for lineno, line in enumerate(_read_lines(args.file), 1):
+        for where, line in read_lines(args.file):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
                 _fragment_one(line, params)
             except (SmilesError, FragmentationError) as exc:
-                _fail("input", f"{args.file}:{lineno}: {exc}")
+                _fail("input", f"{where}: {exc}")
                 failed = True
         return EXIT_ERROR if failed else EXIT_OK
     if args.smiles:
@@ -138,12 +112,7 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
         templates = load_templates(cfg.templates)
     except (TemplateError, OSError) as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        lib = MoleculeLibrary.load(args.library)
-    except OSError as exc:
-        raise CliInputError(f"cannot read {args.library}: {exc}") from None
-    except LibraryFormatError as exc:
-        raise CliInputError(str(exc)) from None
+    lib = MoleculeLibrary.load(args.library)
     if cfg.k is not None:
         params = FragmentParams(k=cfg.k, alpha=cfg.alpha, seed=cfg.seed)
     else:
@@ -151,16 +120,12 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
     counters = PairCounters()
     records = list(make_pretrain_pairs(lib, params, templates, counters))
     if args.reactions:
-        try:
-            reactions = list(read_reactions(args.reactions, counters))
-        except OSError as exc:
-            raise CliInputError(f"cannot read {args.reactions}: {exc}") from None
+        reactions = list(read_reactions(args.reactions, counters))
         records.extend(make_finetune_pairs(reactions, vocab, templates, counters))
-    out_dir = args.out or cfg.out
     manifest = emit_jsonl(
         records,
         cfg.shards,
-        out_dir,
+        cfg.out,
         config_echo={
             "seed": cfg.seed,
             "k": params.k,
@@ -174,7 +139,7 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
     print(
         json.dumps(
             {
-                "out": str(out_dir),
+                "out": cfg.out,
                 "records": manifest.total_records,
                 "shards": len(manifest.shards),
                 "pairs": counters.emitted_pairs,
@@ -197,16 +162,14 @@ def _cmd_tokenize(args, cfg: PipelineConfig) -> int:
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     if args.dataset:
-        refs_by_id = {rec.id: rec.output for rec in _read_dataset(args.dataset)}
+        refs_by_id = {rec.id: rec.output for rec in read_dataset(args.dataset)}
         preds_by_id = {}
-        for lineno, line in enumerate(_read_lines(args.preds), 1):
+        for where, line in read_lines(args.preds):
             if not line.strip():
                 continue
             rec_id, _, pred = line.partition("\t")
             if rec_id in preds_by_id:
-                raise CliInputError(
-                    f"{args.preds}:{lineno}: duplicate prediction id {rec_id!r}"
-                )
+                raise CliInputError(f"{where}: duplicate prediction id {rec_id!r}")
             preds_by_id[rec_id] = pred
         shared = sorted(set(refs_by_id) & set(preds_by_id))
         if not shared:
@@ -216,14 +179,18 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
         missing = len(refs_by_id) - len(shared)
         if missing:
             print(f"# {missing} dataset records had no prediction", file=sys.stderr)
+    elif not args.refs:
+        _fail("usage", "eval needs a references file or --dataset")
+        return EXIT_USAGE
     else:
         # Lines pair by position: a blank prediction scores as invalid,
         # a blank reference has nothing to score against.
-        preds = _read_lines(args.preds)
-        refs = _read_lines(args.refs)
-        for lineno, ref in enumerate(refs, 1):
+        preds = [line for _, line in read_lines(args.preds)]
+        refs = []
+        for where, ref in read_lines(args.refs):
             if not ref.strip():
-                raise CliInputError(f"{args.refs}:{lineno}: blank reference")
+                raise CliInputError(f"{where}: blank reference")
+            refs.append(ref)
         if len(preds) != len(refs):
             raise CliInputError(
                 f"{args.preds} has {len(preds)} lines, {args.refs} has {len(refs)}"
@@ -243,7 +210,7 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
     weight_hist = {f"{lo}-{hi}": 0 for lo, hi in _WEIGHT_BANDS}
     weight_hist[">1000"] = 0
     n_frag_records = 0
-    for rec in _read_dataset(args.dataset):
+    for rec in read_dataset(args.dataset):
         if rec.task != "fragmentation":
             continue
         n_frag_records += 1
@@ -331,21 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = (
-    "seed", "k", "alpha", "shards", "vocab", "groups", "templates",
-    "invalid_as_zero", "special_pairing",
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(
-            config_path=args.config,
-            flag_values={k: getattr(args, k, None) for k in _FLAG_KEYS},
-        )
-    except ConfigError as exc:
+        # Every argparse destination named after a config field is its flag.
+        cfg = resolve_config(config_path=args.config, flag_values=vars(args))
+    except (ConfigError, UnreadableFileError) as exc:
         _fail("config", str(exc))
         return EXIT_CONFIG
     try:
@@ -357,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         # load_templates checks every slot; a task with no template is left.
         _fail("config", f"{cfg.templates}: {exc.args[0]}")
         return EXIT_CONFIG
-    except CliInputError as exc:
+    except (CliInputError, UnreadableFileError, LibraryFormatError, DatasetFormatError) as exc:
         _fail("io", str(exc))
         return EXIT_IO
     except (SmilesError, FragmentationError, UntokenizableError) as exc:

@@ -1,34 +1,58 @@
 """Pipeline configuration: key=value file, FRAGSMITH_* env overrides,
 then command-line flags, in increasing precedence; and the one reader of
-the line-based data files the package ships."""
+every text file the package reads."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterator, get_args, get_type_hints
 
 ENV_PREFIX = "FRAGSMITH_"
+_DATA_DIR = Path(__file__).parent / "data"
 
 
 class ConfigError(ValueError):
     pass
 
 
+class UnreadableFileError(OSError):
+    """A text file that cannot be opened or holds a byte that is not UTF-8."""
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield ``(PATH:LINE, line)`` for every line of the UTF-8 text file
+    ``path``, without its newline; a line ends at ``\\n``, ``\\r\\n`` or
+    ``\\r``. Raises UnreadableFileError as ``cannot read PATH: <reason>``
+    when the file cannot be opened, and as ``PATH:LINE: not UTF-8 ...`` at
+    the first line holding a byte that does not decode."""
+    try:
+        # An undecodable byte b is read as the lone surrogate U+DC00 + b,
+        # which a valid line never holds and ``str.encode`` rejects.
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise UnreadableFileError(f"cannot read {path}: {exc}") from None
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise UnreadableFileError(
+                        f"{path}:{lineno}: not UTF-8: byte {byte:#04x} at column {exc.start + 1}"
+                    ) from None
+            yield f"{path}:{lineno}", line.rstrip("\n")
+
+
 def read_data_lines(path: str | Path | None, shipped: str) -> Iterator[tuple[str, str]]:
     """Yield ``(PATH:LINE, line)`` for every line of ``path`` that is not
     blank and does not start with ``#``. Without a path, read the
-    package's data file ``shipped``, named by that file name. The file is
-    read on every call."""
-    if path is None:
-        name, text = shipped, resources.files("fragsmith.data").joinpath(shipped).read_text()
-    else:
-        name, text = path, Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
+    package's data file ``shipped``. The file is read on every call."""
+    for where, line in read_lines(_DATA_DIR / shipped if path is None else path):
         if line.strip() and not line.lstrip().startswith("#"):
-            yield f"{name}:{lineno}", line
+            yield where, line
 
 
 @dataclass
@@ -78,24 +102,20 @@ _FIELD_TYPES = {
 def load_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file (# comments allowed)."""
     values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for where, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise ConfigError(f"{where}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
             values[key] = _coerce(key, raw, _FIELD_TYPES[key])
         except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
     return values
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .brics import FragmentParams, fragment
-from .config import read_data_lines
+from .config import read_data_lines, read_lines
 from .molgraph import (
     SmilesError,
     canonical_smiles,
@@ -124,26 +124,24 @@ class MoleculeLibrary:
         records: list[LibraryRecord] = []
         k: float | None = None
         stats = LibraryStats()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if line.startswith("# k="):
-                    val = line[4:].strip()
-                    k = float(val) if val else None
-                    continue
-                if line.startswith("# stats="):
-                    stats = LibraryStats(**json.loads(line[8:]))
-                    continue
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    smi, w, t = line.split("\t")
-                    records.append(LibraryRecord(smi, float(w), int(t)))
-                except ValueError:
-                    raise LibraryFormatError(
-                        f"{path}:{lineno}: expected canonical, weight and "
-                        f"token length separated by tabs, got {line!r}"
-                    ) from None
+        for where, line in read_lines(path):
+            if line.startswith("# k="):
+                val = line[4:].strip()
+                k = float(val) if val else None
+                continue
+            if line.startswith("# stats="):
+                stats = LibraryStats(**json.loads(line[8:]))
+                continue
+            if not line or line.startswith("#"):
+                continue
+            try:
+                smi, w, t = line.split("\t")
+                records.append(LibraryRecord(smi, float(w), int(t)))
+            except ValueError:
+                raise LibraryFormatError(
+                    f"{where}: expected canonical, weight and "
+                    f"token length separated by tabs, got {line!r}"
+                ) from None
         return cls(records=records, stats=stats, k=k)
 
 
@@ -152,9 +150,7 @@ def _count_skip(counters: LibraryStats | PairCounters, skip: str) -> None:
     setattr(counters, skip, getattr(counters, skip) + 1)
 
 
-def _screen_lines(
-    vocab: Vocab, weight_limit: float, token_limit: int, lines: list[str]
-) -> list[tuple[str | None, LibraryRecord | str]]:
+def _screen_lines(vocab: Vocab, lines: list[str]) -> list[tuple[str | None, LibraryRecord | str]]:
     """Per corpus line: (canonical, or None if unreadable; the kept record,
     or the name of the ``LibraryStats`` field that counts its rejection).
     A repeat within ``lines`` is screened once; the caller counts repeats."""
@@ -175,35 +171,29 @@ def _screen_lines(
             out.append((canon, "validity_rejections"))
             continue
         weight = molecular_weight(mol)
-        if weight > weight_limit:
+        if weight > WEIGHT_LIMIT:
             out.append((canon, "weight_rejections"))
             continue
         token_length = payload_length(tokenize(canon, vocab, MOLECULE), vocab)
-        if token_length > token_limit:
+        if token_length > TOKEN_LIMIT:
             out.append((canon, "length_rejections"))
             continue
         out.append((canon, LibraryRecord(canon, weight, token_length)))
     return out
 
 
-def preprocess(
-    corpus: Iterable[str],
-    vocab: Vocab | None = None,
-    *,
-    weight_limit: float = WEIGHT_LIMIT,
-    token_limit: int = TOKEN_LIMIT,
-) -> MoleculeLibrary:
+def preprocess(corpus: Iterable[str], vocab: Vocab | None = None) -> MoleculeLibrary:
     """Filter a SMILES stream into a MoleculeLibrary.
 
-    Filters run in order: canonical dedup, validity, weight <= limit,
-    token length <= limit. Unreadable lines are counted, never fatal.
+    Filters run in order: canonical dedup, validity, weight <=
+    WEIGHT_LIMIT, token length <= TOKEN_LIMIT. Unreadable lines are counted, never fatal.
     ``k`` is the mean canonical-SMILES length of the surviving records;
     output is sorted by canonical SMILES.
     """
     if vocab is None:
         vocab = build_vocab()
     lines = [line for line in map(str.strip, corpus) if line and not line.startswith("#")]
-    screened = ordered_map(partial(_screen_lines, vocab, weight_limit, token_limit), lines)
+    screened = ordered_map(partial(_screen_lines, vocab), lines)
     stats = LibraryStats(read=len(lines))
     seen: set[str] = set()
     records: list[LibraryRecord] = []
@@ -380,10 +370,7 @@ def make_pretrain_pairs(
 
 
 def _screen_reactions(
-    vocab: Vocab,
-    weight_limit: float,
-    token_limit: int,
-    reactions: list[tuple[list[str], str, str]],
+    vocab: Vocab, reactions: list[tuple[list[str], str, str]]
 ) -> list[tuple[str, str] | str]:
     """Per reaction: (canonical product, dot-joined canonical reactants),
     or the name of the ``PairCounters`` field that counts its skip."""
@@ -402,14 +389,14 @@ def _screen_reactions(
         if any(not validate(m).valid for m in mols):
             out.append("skipped_unparseable")
             continue
-        if any(molecular_weight(m) > weight_limit for m in mols):
+        if any(molecular_weight(m) > WEIGHT_LIMIT for m in mols):
             out.append("skipped_filtered")
             continue
         product_c = canonical_smiles(product_mol)
         reactants_c = ".".join(canonical_smiles(m) for m in reactant_mols)
         if (
-            payload_length(tokenize(product_c, vocab, MOLECULE), vocab) > token_limit
-            or payload_length(tokenize(reactants_c, vocab, MOLECULE), vocab) > token_limit
+            payload_length(tokenize(product_c, vocab, MOLECULE), vocab) > TOKEN_LIMIT
+            or payload_length(tokenize(reactants_c, vocab, MOLECULE), vocab) > TOKEN_LIMIT
         ):
             out.append("skipped_filtered")
             continue
@@ -422,9 +409,6 @@ def make_finetune_pairs(
     vocab: Vocab | None = None,
     templates: dict[str, str] | None = None,
     counters: PairCounters | None = None,
-    *,
-    weight_limit: float = WEIGHT_LIMIT,
-    token_limit: int = TOKEN_LIMIT,
 ) -> Iterator[InstructionRecord]:
     """Paired retrosynthesis/reaction records from (reactants, product,
     reaction_type) triples.
@@ -438,9 +422,7 @@ def make_finetune_pairs(
     if counters is None:
         counters = PairCounters()
     reactions = list(reactions)
-    screened = ordered_map(
-        partial(_screen_reactions, vocab, weight_limit, token_limit), reactions
-    )
+    screened = ordered_map(partial(_screen_reactions, vocab), reactions)
     for (_, _, rtype), screen in zip(reactions, screened):
         if isinstance(screen, str):
             _count_skip(counters, screen)
@@ -457,18 +439,16 @@ def read_reactions(
     """Read tab-separated reaction lines:
     ``reactants_dot_joined<TAB>product<TAB>reaction_type``. Rows without
     exactly 3 columns are skipped and counted as ``skipped_malformed``."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                if counters is not None:
-                    counters.skipped_malformed += 1
-                continue
-            reactants = [r for r in parts[0].split(".") if r]
-            yield (reactants, parts[1], parts[2])
+    for _, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            if counters is not None:
+                counters.skipped_malformed += 1
+            continue
+        reactants = [r for r in parts[0].split(".") if r]
+        yield (reactants, parts[1], parts[2])
 
 
 # --- emission --------------------------------------------------------------
@@ -541,19 +521,17 @@ def read_dataset(out_dir: str | Path) -> Iterator[InstructionRecord]:
     DatasetFormatError naming the manifest or the ``shard:line`` at fault."""
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            shards = [out / shard["path"] for shard in json.load(fh)["shards"]]
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DatasetFormatError(f"{manifest_path}: not a dataset manifest: {exc}") from None
+    text = "\n".join(line for _, line in read_lines(manifest_path))
+    try:
+        shards = [out / shard["path"] for shard in json.loads(text)["shards"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DatasetFormatError(f"{manifest_path}: not a dataset manifest: {exc}") from None
     for path in shards:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = InstructionRecord.from_json(line)
-                except (ValueError, TypeError) as exc:
-                    msg = f"{path}:{lineno}: not an instruction record: {exc}"
-                    raise DatasetFormatError(msg) from None
-                yield record
+        for where, line in read_lines(path):
+            if not line.strip():
+                continue
+            try:
+                record = InstructionRecord.from_json(line)
+            except (ValueError, TypeError) as exc:
+                raise DatasetFormatError(f"{where}: not an instruction record: {exc}") from None
+            yield record

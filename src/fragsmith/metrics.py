@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache
 
 from .molgraph import (
     DOUBLE,
@@ -28,6 +28,8 @@ from .patterns import Pattern, compile_pattern, has_match
 MORGAN = "morgan"
 PATH = "path"
 KEYS = "keys"
+MORGAN_RADIUS = 2
+PATH_MAX_BONDS = 7
 
 _MASK64 = (1 << 64) - 1
 # Base of the path polynomial (the 64-bit FNV prime).
@@ -78,14 +80,14 @@ class FingerprintError(ValueError):
     pass
 
 
-def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
+def _morgan_hashes(m: Molecule) -> set[int]:
     """ECFP-style environments (Rogers & Hahn 2010): the atom invariant,
-    then per radius r the fold of r, the atom's last hash and its sorted
-    neighbour hashes, each XORed with its bond order."""
+    then per radius r up to MORGAN_RADIUS the fold of r, the atom's last
+    hash and its sorted neighbour hashes, each XORed with its bond order."""
     orders = [b.order for b in m.bonds]
     current = _atom_hashes(m)
     out = set(current)
-    for r in range(1, radius + 1):
+    for r in range(1, MORGAN_RADIUS + 1):
         envs = [
             (h, *sorted([current[j] ^ orders[bi] for j, bi in nbrs]))
             for h, nbrs in zip(current, m.neighbors)
@@ -96,8 +98,8 @@ def _morgan_hashes(m: Molecule, radius: int = 2) -> set[int]:
     return out
 
 
-def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
-    """Hashes of all simple linear bond paths of 1..max_bonds bonds.
+def _path_hashes(m: Molecule) -> set[int]:
+    """Hashes of all simple linear bond paths of 1..PATH_MAX_BONDS bonds.
 
     A path a0-b1-a1-...-bd-ad hashes forward as the base-P polynomial
     a0 P^2d + b1 P^(2d-1) + ... + ad and in reverse with the terms
@@ -113,7 +115,7 @@ def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
     # Atomic number, aromatic and formal charge.
     inv = _atom_hashes(m, 3)
     bond_code = [b.order * 0x9E3779B97F4A7C15 & _MASK64 for b in m.bonds]
-    powers = [pow(prime, k, _MASK64 + 1) for k in range(2 * max_bonds + 1)]
+    powers = [pow(prime, k, _MASK64 + 1) for k in range(2 * PATH_MAX_BONDS + 1)]
     # adj[i]: (neighbour, bond code, neighbour invariant hash) triples.
     adj = [
         [(j, bond_code[bi], inv[j]) for j, bi in nbrs] for nbrs in m.neighbors
@@ -125,7 +127,7 @@ def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
     def extend(tip: int, fwd: int, rev: int, depth: int) -> None:
         # Paths of ``depth`` bonds ending one step past ``tip``.
         po, pe = powers[2 * depth - 1], powers[2 * depth]
-        if depth == max_bonds:
+        if depth == PATH_MAX_BONDS:
             for j, code, h in adj[tip]:
                 if not on_path[j]:
                     f = (fwd * p2 + code * prime + h) & _MASK64
@@ -141,11 +143,10 @@ def _path_hashes(m: Molecule, max_bonds: int = 7) -> set[int]:
                 extend(j, f, r, depth + 1)
                 on_path[j] = False
 
-    if max_bonds >= 1:
-        for start, h in enumerate(inv):
-            on_path[start] = True
-            extend(start, h, h, 1)
-            on_path[start] = False
+    for start, h in enumerate(inv):
+        on_path[start] = True
+        extend(start, h, h, 1)
+        on_path[start] = False
     return out
 
 
@@ -423,7 +424,7 @@ class EvalReport:
 
 
 def _score_pairs(
-    width: int, pairs: list[tuple[str, str]]
+    pairs: list[tuple[str, str]]
 ) -> list[tuple[bool, float, int, bool, tuple[float, ...] | None]]:
     """Per (pred, ref) pair: (pred valid, bleu, levenshtein, exact, the
     similarities in ``_FTS_SCHEMES`` order or None unless both sides are
@@ -438,7 +439,7 @@ def _score_pairs(
     def fingerprints_of(m: Molecule, canonical: str) -> dict[str, FingerprintBitset]:
         fps = fingerprints.get(canonical)
         if fps is None:
-            fps = {s: fingerprint(m, s, width) for s in _FTS_SCHEMES}
+            fps = {s: fingerprint(m, s) for s in _FTS_SCHEMES}
             fingerprints[canonical] = fps
         return fps
 
@@ -467,7 +468,6 @@ def evaluate(
     refs: list[str],
     *,
     invalid_as_zero: bool = False,
-    width: int = 2048,
 ) -> EvalReport:
     """Score predictions against references with the full metric suite.
 
@@ -493,7 +493,7 @@ def evaluate(
     fts_sums = {s: 0.0 for s in _FTS_SCHEMES}
     fts_n = 0
     skipped = 0
-    scores = ordered_map(partial(_score_pairs, width), list(zip(preds, refs)))
+    scores = ordered_map(_score_pairs, list(zip(preds, refs)))
     for valid, bleu_score, distance, exact, sims in scores:
         valid_count += valid
         bleu_sum += bleu_score

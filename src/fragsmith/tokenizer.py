@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .config import read_data_lines
+from .config import read_data_lines, read_lines
 
 SPECIAL_TOKENS = ("<BOF>", "<EOF>", "<BOM>", "<EOM>")
 DUMMY_TOKENS = tuple(f"[{i}*]" for i in range(1, 17))
@@ -24,6 +24,7 @@ CLASS_SPECIAL = "special"
 CLASS_DUMMY = "dummy"
 CLASS_GROUP = "group"
 CLASS_BASE = "base"
+_CLASSES = (CLASS_SPECIAL, CLASS_DUMMY, CLASS_GROUP, CLASS_BASE)
 
 MOLECULE = "molecule"
 FRAGMENT_SET = "fragment_set"
@@ -130,21 +131,22 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         """Read a file written by :meth:`save`; raises TokenizerError naming
-        ``path:line`` for a malformed row, ``path`` for a missing special."""
+        ``path:line`` for a malformed row or an unknown class, ``path`` for
+        a missing special."""
         tokens: list[str] = []
         classes: list[str] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise TokenizerError(f"{path}:{lineno}: expected 3 columns")
-                if parts[0] != str(len(tokens)):
-                    raise TokenizerError(f"{path}:{lineno}: expected id {len(tokens)}")
-                tokens.append(parts[2])
-                classes.append(parts[1])
+        for where, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise TokenizerError(f"{where}: expected 3 columns")
+            if parts[0] != str(len(tokens)):
+                raise TokenizerError(f"{where}: expected id {len(tokens)}")
+            if parts[1] not in _CLASSES:
+                raise TokenizerError(f"{where}: unknown token class {parts[1]!r}")
+            tokens.append(parts[2])
+            classes.append(parts[1])
         missing = [tok for tok in SPECIAL_TOKENS if tok not in tokens]
         if missing:
             raise TokenizerError(f"{path}: missing special tokens {missing}")

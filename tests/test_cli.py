@@ -266,6 +266,12 @@ class TestEvalCommand:
         refs.write_text("C\n")
         assert main(["eval", str(tmp_path / "missing.txt"), str(refs)]) == EXIT_IO
 
+    def test_no_references_is_a_usage_error(self, tmp_path, capsys):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("C\n")
+        assert main(["eval", str(preds)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error[usage]: eval needs a references file or --dataset\n"
+
 
 class TestStatsCommand:
     def test_histograms(self, small_library, tmp_path, capsys):
@@ -391,9 +397,19 @@ class TestConfigNamedFiles:
         self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"],
                     f"{path}:3: expected id 2")
 
+    def test_vocab_unknown_class(self, tmp_path, capsys):
+        path = tmp_path / "vocab.tsv"
+        build_vocab().save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[30] = lines[30].replace("\tbase\t", "\tbogus\t")
+        path.write_text("".join(lines))
+        self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"],
+                    f"{path}:31: unknown token class 'bogus'")
+
     def test_vocab_file_missing(self, tmp_path, capsys):
         path = tmp_path / "missing.tsv"
-        self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"], "[Errno 2]")
+        self._fails(capsys, ["--vocab", str(path), "tokenize", "CCO"],
+                    f"cannot read {path}: [Errno 2]")
 
     def test_unbalanced_group_entry(self, tmp_path, capsys):
         path = tmp_path / "groups.txt"
@@ -446,6 +462,50 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert err.startswith(f"error[io]: {shard}:3: not an instruction record: "), err
         assert "'task'" in err
+
+
+# Per input file: its valid line 1, the command reading it (``{path}`` is
+# the file; ``{lib}``, ``{good}`` and ``{tmp}`` a library, a readable
+# one-SMILES-a-line file and a scratch directory) and the error category.
+UNDECODABLE_INPUTS = {
+    "corpus": ("CCO", ["preprocess", "{path}", "--out", "{tmp}/lib.tsv"], "io"),
+    "library": ("# k=3.0", ["build", "--library", "{path}", "--out", "{tmp}/ds"], "io"),
+    "reactions": ("# reactions", [
+        "build", "--library", "{lib}", "--reactions", "{path}", "--out", "{tmp}/ds",
+    ], "io"),
+    "templates": ("# templates", [
+        "--templates", "{path}", "build", "--library", "{lib}", "--out", "{tmp}/ds",
+    ], "config"),
+    "vocab": ("0\tspecial\t<BOF>", ["--vocab", "{path}", "tokenize", "CCO"], "config"),
+    "groups": ("# groups", ["--groups", "{path}", "tokenize", "CCO"], "config"),
+    "config": ("# config", ["--config", "{path}", "tokenize", "CCO"], "config"),
+    "preds": ("C", ["eval", "{path}", "{good}"], "io"),
+    "refs": ("C", ["eval", "{good}", "{path}"], "io"),
+    "fragment --file": ("CCO", ["fragment", "--file", "{path}"], "io"),
+    "shard": (None, ["stats", "{tmp}/ds"], "io"),
+}
+
+
+@pytest.mark.parametrize("name", UNDECODABLE_INPUTS)
+def test_undecodable_byte_names_path_and_line(name, small_library, tmp_path, capsys):
+    """A byte that is not UTF-8 on line 2 of any input file is a named
+    error at PATH:2, never a traceback or an internal error."""
+    first, argv, category = UNDECODABLE_INPUTS[name]
+    good = tmp_path / "good.txt"
+    good.write_text("C\nC\n")
+    if first is None:
+        assert main(["build", "--library", str(small_library), "--out", str(tmp_path / "ds")]) == EXIT_OK
+        capsys.readouterr()
+        path = tmp_path / "ds" / "shard-00000.jsonl"
+        first = path.read_text().splitlines()[0]
+    else:
+        path = tmp_path / "input.txt"
+    path.write_bytes(first.encode() + b"\nC\xffO\n")
+    values = {"path": path, "lib": small_library, "good": good, "tmp": tmp_path}
+    code = main([arg.format(**values) for arg in argv])
+    err = capsys.readouterr().err
+    assert err == f"error[{category}]: {path}:2: not UTF-8: byte 0xff at column 2\n"
+    assert code == (EXIT_CONFIG if category == "config" else EXIT_IO)
 
 
 def test_package_runs_as_module():

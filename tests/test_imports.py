@@ -1,6 +1,7 @@
 """Every name a package module imports at module level is used in it,
-every module-level private name is read somewhere in the package, and
-no module calls ``str.isdigit`` or keeps state between calls.
+every module-level private name is read somewhere in the package, no
+module calls ``str.isdigit`` or keeps state between calls, and only
+``config.read_lines`` opens a file to read it.
 
 No linter ships with the project, so this parses each module with
 ``ast``. ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -181,3 +182,77 @@ def test_check_sees_process_state():
         "_SEEN (line 4)",
         "_LAST (line 5)",
     ])
+
+
+def _file_read(call: ast.Call) -> str | None:
+    """The name called when ``call`` reads a file: ``open(path)`` or
+    ``Path.open()`` without a write, append or create mode,
+    ``read_text`` or ``read_bytes``."""
+    func = call.func
+    method = isinstance(func, ast.Attribute)
+    name = func.attr if method else getattr(func, "id", None)
+    if name != "open":
+        return name if name in ("read_text", "read_bytes") else None
+    after_path = call.args if method else call.args[1:]
+    mode = after_path[0] if after_path else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    writes = isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")
+    return None if writes else name
+
+
+def _file_reads(source: str, reader: str | None = None) -> list[str]:
+    """Calls that read a file outside the function named ``reader``, and
+    imports of ``importlib``: every text file goes through one reader,
+    which finds the shipped data files by path."""
+    tree = ast.parse(source)
+    inside = {
+        id(n) for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == reader for n in ast.walk(node)
+    }
+    found = []
+    for n in ast.walk(tree):
+        if id(n) in inside:
+            continue
+        if isinstance(n, ast.Call) and (name := _file_read(n)):
+            found.append((n.lineno, name))
+        elif isinstance(n, ast.Import) and any(a.name.split(".")[0] == "importlib" for a in n.names):
+            found.append((n.lineno, "importlib"))
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "importlib":
+            found.append((n.lineno, "importlib"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_reader_reads_files(path):
+    reader = "read_lines" if path.name == "config.py" else None
+    assert _file_reads(path.read_text(), reader) == []
+
+
+def test_check_sees_a_file_read():
+    source = (
+        "import importlib.resources\n"
+        "from importlib import resources\n"
+        "from pathlib import Path\n"
+        "def read_lines(path):\n"
+        "    return open(path)\n"
+        "def load(path, mode):\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        fh.read()\n"
+        "    Path(path).read_text()\n"
+        "    Path(path).read_bytes()\n"
+        "    open(path, 'rb'), open(path, mode)\n"
+        "    open(path, 'w'), open(path, mode='ab'), Path(path).open('x')\n"
+        "    resources.files('x').joinpath('y').read_text()\n"
+        "    Path(path).open()\n"
+    )
+    assert _file_reads(source, "read_lines") == [
+        "importlib (line 1)",
+        "importlib (line 2)",
+        "open (line 7)",
+        "read_text (line 9)",
+        "read_bytes (line 10)",
+        "open (line 11)",
+        "open (line 11)",
+        "read_text (line 13)",
+        "open (line 14)",
+    ]

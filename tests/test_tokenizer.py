@@ -113,6 +113,15 @@ class TestBuildVocab:
         with pytest.raises(TokenizerError, match="'NC' is not exactly one atom unit"):
             Vocab.load(path)
 
+    def test_load_rejects_an_unknown_class(self, vocab, tmp_path):
+        path = tmp_path / "v.tsv"
+        vocab.save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(vocab.tokens)}\tbogus\t[K+]\n")
+        where = f"{path}:{len(vocab.tokens) + 1}"
+        with pytest.raises(TokenizerError, match=f"^{re.escape(where)}: unknown token class 'bogus'$"):
+            Vocab.load(path)
+
     def test_save_load_stable(self, vocab, tmp_path):
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
