@@ -333,14 +333,11 @@ def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
             sites.append((c, dummy_idx))
         provenance.append((sites[0], sites[1]))
 
-    fragments = []
-    for atom_list, bond_list in zip(frag_atoms, frag_bonds):
-        atoms, bonds = tuple(atom_list), tuple(bond_list)
-        frag = Molecule(atoms=atoms, bonds=bonds, source_text="")
-        fragments.append(Molecule(atoms=atoms, bonds=bonds, source_text=canonical_smiles(frag)))
-
     return FragmentSet(
-        fragments=tuple(fragments),
+        fragments=tuple(
+            Molecule.assembled(tuple(atoms), tuple(bonds))
+            for atoms, bonds in zip(frag_atoms, frag_bonds)
+        ),
         parent_canonical=parent,
         cleaved=tuple(chosen),
         provenance=tuple(provenance),

@@ -131,7 +131,6 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
             "k": params.k,
             "alpha": cfg.alpha,
             "shard_size": cfg.shards,
-            "special_pairing": cfg.special_pairing,
             "library": str(args.library),
             "reactions": str(args.reactions) if args.reactions else None,
         },

@@ -120,17 +120,20 @@ class MoleculeLibrary:
     @classmethod
     def load(cls, path: str | Path) -> "MoleculeLibrary":
         """Read a file written by :meth:`save`; raises LibraryFormatError
-        naming ``path:line`` for a malformed row."""
+        naming ``path:line`` for a malformed header or row."""
         records: list[LibraryRecord] = []
         k: float | None = None
         stats = LibraryStats()
         for where, line in read_lines(path):
             if line.startswith("# k="):
                 val = line[4:].strip()
-                k = float(val) if val else None
+                try:
+                    k = float(val) if val else None
+                except ValueError:
+                    raise LibraryFormatError(f"{where}: k must be a number, got {val!r}") from None
                 continue
             if line.startswith("# stats="):
-                stats = LibraryStats(**json.loads(line[8:]))
+                stats = _library_stats(line[8:], where)
                 continue
             if not line or line.startswith("#"):
                 continue
@@ -143,6 +146,24 @@ class MoleculeLibrary:
                     f"token length separated by tabs, got {line!r}"
                 ) from None
         return cls(records=records, stats=stats, k=k)
+
+
+def _library_stats(text: str, where: str) -> LibraryStats:
+    """The ``# stats=`` header: a JSON object of ``LibraryStats`` counts."""
+    names = [f.name for f in fields(LibraryStats)]
+    try:
+        counts = json.loads(text)
+    except ValueError:
+        counts = None
+    if not (
+        isinstance(counts, dict)
+        and all(name in names and type(n) is int for name, n in counts.items())
+    ):
+        raise LibraryFormatError(
+            f"{where}: stats must be a JSON object of integer counts named "
+            f"{', '.join(names)}; got {text!r}"
+        )
+    return LibraryStats(**counts)
 
 
 def _count_skip(counters: LibraryStats | PairCounters, skip: str) -> None:

@@ -132,6 +132,13 @@ class Molecule:
     bonds: tuple[Bond, ...]
     source_text: str
 
+    @classmethod
+    def assembled(cls, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...]) -> "Molecule":
+        """A molecule built in code, whose ``source_text`` is its canonical
+        SMILES. The text is written from a throw-away twin, so the result
+        holds no topology computed on the way."""
+        return cls(atoms, bonds, canonical_smiles(cls(atoms, bonds, "")))
+
     @_lazy
     def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-atom tuple of (neighbor atom index, bond index)."""

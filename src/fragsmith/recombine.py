@@ -34,65 +34,44 @@ class AmbiguousRejoinError(ValueError):
     provenance disambiguates them."""
 
 
-def _merge(
-    fragments: tuple[Molecule, ...],
-) -> tuple[list[Atom], list[tuple[int, int, Bond]], dict]:
-    """Concatenate fragment graphs; returns the atoms, each bond as (merged
-    endpoint, merged endpoint, fragment bond), and the index mapping
-    (frag_idx, local_idx) -> merged index."""
+def _splice(fragments: tuple[Molecule, ...], pairs) -> Molecule:
+    """Drop each paired dummy, bond the two heavy atoms it stood for, and
+    number the kept atoms in fragment order. ``pairs`` holds two
+    (fragment, atom) sites per pair."""
+    first = [0]  # each fragment's first index in the merged numbering
+    for frag in fragments:
+        first.append(first[-1] + len(frag.atoms))
+    dummies: set[int] = set()
+    links: list[list[int]] = []
+    for pair in pairs:
+        ends = []
+        for fi, li in pair:
+            bonded = fragments[fi].neighbors[li]
+            if len(bonded) != 1:
+                raise UnpairedLabelError(
+                    f"dummy atom must have exactly one bond, found {len(bonded)}"
+                )
+            if fragments[fi].atoms[bonded[0][0]].is_dummy:
+                raise UnpairedLabelError("dummy atom bonded to another dummy atom")
+            dummies.add(first[fi] + li)
+            ends.append(first[fi] + bonded[0][0])
+        links.append(ends)
+
+    index: list[int] = []  # merged index -> kept index
     atoms: list[Atom] = []
-    bonds: list[tuple[int, int, Bond]] = []
-    offset: dict = {}
-    for fi, frag in enumerate(fragments):
-        base = len(atoms)
-        for li, atom in enumerate(frag.atoms):
-            offset[(fi, li)] = base + li
-        atoms.extend(frag.atoms)
+    for i, atom in enumerate(a for frag in fragments for a in frag.atoms):
+        index.append(len(atoms))
+        if i not in dummies:
+            atoms.append(atom)
+    bonds: list[Bond] = []
+    for base, frag in zip(first, fragments):
         for bond in frag.bonds:
             a, b = bond.endpoints
-            bonds.append((base + a, base + b, bond))
-    return atoms, bonds, offset
-
-
-def _splice(atoms: list[Atom], bonds: list[tuple[int, int, Bond]], dummy_pairs) -> Molecule:
-    """Drop paired dummies, bond their heavy neighbors, compact indices."""
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for bi, (a, b, _) in enumerate(bonds):
-        adjacency.setdefault(a, []).append((b, bi))
-        adjacency.setdefault(b, []).append((a, bi))
-
-    drop_atoms: set[int] = set()
-    drop_bonds: set[int] = set()
-    new_bonds: list[tuple[int, int]] = []
-    for da, db in dummy_pairs:
-        heavies = []
-        for d in (da, db):
-            links = adjacency.get(d, [])
-            if len(links) != 1:
-                raise UnpairedLabelError(
-                    f"dummy atom must have exactly one bond, found {len(links)}"
-                )
-            heavies.append(links[0][0])
-            drop_bonds.add(links[0][1])
-            drop_atoms.add(d)
-        new_bonds.append((heavies[0], heavies[1]))
-
-    remap: dict[int, int] = {}
-    kept_atoms: list[Atom] = []
-    for i, atom in enumerate(atoms):
-        if i in drop_atoms:
-            continue
-        remap[i] = len(kept_atoms)
-        kept_atoms.append(atom)
-    kept_bonds = [
-        Bond((remap[a], remap[b]), bond.order, bond.stereo_annotation)
-        for bi, (a, b, bond) in enumerate(bonds)
-        if bi not in drop_bonds
-    ]
-    kept_bonds.extend(Bond((remap[a], remap[b]), SINGLE) for a, b in new_bonds)
-    atoms_t, bonds_t = tuple(kept_atoms), tuple(kept_bonds)
-    merged = Molecule(atoms=atoms_t, bonds=bonds_t, source_text="")
-    return Molecule(atoms=atoms_t, bonds=bonds_t, source_text=canonical_smiles(merged))
+            a, b = base + a, base + b
+            if a not in dummies and b not in dummies:
+                bonds.append(Bond((index[a], index[b]), bond.order, bond.stereo_annotation))
+    bonds.extend(Bond((index[a], index[b]), SINGLE) for a, b in links)
+    return Molecule.assembled(tuple(atoms), tuple(bonds))
 
 
 def rejoin(fs: FragmentSet, rules: RuleTable | None = None) -> Molecule:
@@ -104,15 +83,9 @@ def rejoin(fs: FragmentSet, rules: RuleTable | None = None) -> Molecule:
     """
     if len(fs.fragments) == 1 and not fs.cleaved:
         return fs.fragments[0]
-    atoms, bonds, offset = _merge(fs.fragments)
     if fs.provenance is not None:
-        pairs = [(offset[site_a], offset[site_b]) for site_a, site_b in fs.provenance]
-    else:
-        pairs = [
-            (offset[site_a], offset[site_b])
-            for site_a, site_b in pair_by_labels(fs.fragments, rules)
-        ]
-    return _splice(atoms, bonds, pairs)
+        return _splice(fs.fragments, fs.provenance)
+    return _splice(fs.fragments, pair_by_labels(fs.fragments, rules))
 
 
 def pair_by_labels(
@@ -194,15 +167,8 @@ def carbon_cap(f: Molecule) -> Molecule:
     """
     if not any(a.is_dummy for a in f.atoms):
         return f
-    new_atoms: list[Atom] = []
-    for i, atom in enumerate(f.atoms):
-        if not atom.is_dummy:
-            new_atoms.append(atom)
-            continue
-        new_atoms.append(
-            Atom(element="C", implicit_h=max(0, 4 - sigma_valence(f, i)))
-        )
-    atoms = tuple(new_atoms)
-    capped = Molecule(atoms=atoms, bonds=f.bonds, source_text="")
-    capped.__dict__["neighbors"] = f.neighbors  # same bonds, same adjacency
-    return Molecule(atoms=atoms, bonds=f.bonds, source_text=canonical_smiles(capped))
+    atoms = tuple(
+        Atom(element="C", implicit_h=max(0, 4 - sigma_valence(f, i))) if atom.is_dummy else atom
+        for i, atom in enumerate(f.atoms)
+    )
+    return Molecule.assembled(atoms, f.bonds)

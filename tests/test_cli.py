@@ -141,6 +141,25 @@ class TestBuildCommand:
         assert main(["build", "--library", str(lib), "--out", str(tmp_path / "d")]) == EXIT_IO
         assert f"error[io]: {lib}:3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["# k=abc", '# stats={"bogus": 1}', "# stats=3"])
+    def test_malformed_library_header(self, tmp_path, header, capsys):
+        lib = tmp_path / "lib.tsv"
+        lib.write_text(f"# k=3.0\n{header}\nCC\t30.07\t2\n")
+        assert main(["build", "--library", str(lib), "--out", str(tmp_path / "d")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error[io]: {lib}:2: ")
+
+    def test_config_echo_keys(self, tmp_path, capsys):
+        lib = tmp_path / "lib.tsv"
+        lib.write_text("# k=3.0\nCC\t30.07\t2\n")
+        out = tmp_path / "d"
+        assert main(["build", "--library", str(lib), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        # The settings the shards depend on, and the inputs.
+        assert sorted(manifest["config"]) == [
+            "alpha", "k", "library", "reactions", "seed", "shard_size",
+        ]
+
 
 class TestTokenizeCommand:
     def test_prints_ids(self, capsys):

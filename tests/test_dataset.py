@@ -99,6 +99,19 @@ class TestPreprocess:
         with pytest.raises(LibraryFormatError, match=f"library.tsv:3: "):
             MoleculeLibrary.load(path)
 
+    @pytest.mark.parametrize("header", [
+        "# k=abc",
+        "# stats={not json",
+        "# stats=[1, 2]",
+        '# stats={"bogus": 1}',
+        '# stats={"kept": "many"}',
+    ])
+    def test_malformed_header_names_path_and_line(self, tmp_path, header):
+        path = tmp_path / "library.tsv"
+        path.write_text(f"# k=3.0\n{header}\nCC\t30.07\t2\n")
+        with pytest.raises(LibraryFormatError, match="library.tsv:2: "):
+            MoleculeLibrary.load(path)
+
 
 class TestPretrainPairs:
     def test_two_records_per_cut_molecule(self, vocab):

@@ -1,7 +1,8 @@
 """Every name a package module imports at module level is used in it,
 every module-level private name is read somewhere in the package, no
-module calls ``str.isdigit`` or keeps state between calls, and only
-``config.read_lines`` opens a file to read it.
+module calls ``str.isdigit`` or keeps state between calls, only
+``config.read_lines`` opens a file to read it, and outside ``molgraph``
+no module writes into a ``__dict__`` or builds a ``Molecule`` twin.
 
 No linter ships with the project, so this parses each module with
 ``ast``. ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -255,4 +256,60 @@ def test_check_sees_a_file_read():
         "open (line 11)",
         "read_text (line 13)",
         "open (line 14)",
+    ]
+
+
+def _is_instance_dict(node: ast.expr) -> bool:
+    """``x.__dict__`` or ``vars(x)``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "vars"
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def _hand_built_molecules(source: str) -> list[str]:
+    """Writes into an object's ``__dict__`` or ``vars()``, and
+    ``Molecule(..., "")`` twins: a molecule made in code comes from
+    ``Molecule.assembled``, which writes its canonical SMILES from a twin
+    of its own and keeps no topology."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) and _is_instance_dict(n.value):
+            found.append((n.lineno, "__dict__ write"))
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            if _is_instance_dict(n.func.value) and n.func.attr in (
+                "update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+            ):
+                found.append((n.lineno, "__dict__ write"))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Molecule":
+            text = n.args[2] if len(n.args) > 2 else None
+            text = next((k.value for k in n.keywords if k.arg == "source_text"), text)
+            if isinstance(text, ast.Constant) and text.value == "":
+                found.append((n.lineno, "Molecule twin"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_molecules_are_built_in_one_place(path):
+    if path.name != "molgraph.py":
+        assert _hand_built_molecules(path.read_text()) == []
+
+
+def test_check_sees_a_hand_built_molecule():
+    source = (
+        "from fragsmith import molgraph\n"
+        "from fragsmith.molgraph import Molecule\n"
+        "def build(atoms, bonds, m):\n"
+        "    twin = Molecule(atoms=atoms, bonds=bonds, source_text='')\n"
+        "    twin.__dict__['neighbors'] = m.neighbors\n"
+        "    other = molgraph.Molecule(atoms, bonds, '')\n"
+        "    other.__dict__.update(ring_bonds=m.ring_bonds)\n"
+        "    vars(m).update(counts={}), dict(**m.__dict__)\n"
+        "    return Molecule(atoms, bonds, 'CC'), Molecule.assembled(atoms, bonds)\n"
+    )
+    assert _hand_built_molecules(source) == [
+        "Molecule twin (line 4)",
+        "__dict__ write (line 5)",
+        "Molecule twin (line 6)",
+        "__dict__ write (line 7)",
+        "__dict__ write (line 8)",
     ]

@@ -148,3 +148,71 @@ class TestCarbonCap:
                     assert new.element == "C"
                 else:
                     assert new.element == old.element
+
+
+class TestSpliceSites:
+    """A spliced site must be a dummy with exactly one bond, to an atom
+    that is not itself a dummy."""
+
+    def _rejoin(self, smiles, provenance):
+        return rejoin(FragmentSet(
+            fragments=tuple(parse_smiles(s) for s in smiles),
+            parent_canonical="",
+            cleaved=(),
+            provenance=provenance,
+        ))
+
+    @pytest.mark.parametrize("smiles, bonds", [
+        (("C[4*]", "N.[5*]"), 0),
+        (("C[4*]", "N[5*]C"), 2),
+    ])
+    def test_site_without_exactly_one_bond(self, smiles, bonds):
+        with pytest.raises(UnpairedLabelError, match=f"exactly one bond, found {bonds}"):
+            self._rejoin(smiles, (((0, 1), (1, 1)),))
+
+    def test_site_bonded_to_a_dummy(self):
+        provenance = (((0, 1), (1, 0)), ((1, 1), (2, 1)))
+        with pytest.raises(UnpairedLabelError, match="bonded to another dummy"):
+            self._rejoin(("C[1*]", "[3*][3*]", "N[1*]"), provenance)
+
+
+TOPOLOGY = ("neighbors", "ring_bonds", "ring_atoms", "components")
+
+
+def _built_molecules(default_params):
+    """Each kind of molecule the package builds in code, by name, each
+    from fresh inputs: splicing and capping compute a fragment's
+    neighbors, so a fragment is looked at before anything reads it."""
+    def cut():
+        fs = fragment(parse_smiles("OCCCN1CCOCC1"), default_params)
+        assert len(fs.fragments) == 2
+        return fs
+
+    def labelled():
+        return FragmentSet(
+            fragments=tuple(parse_smiles(s) for s in ("[4*]CCCO", "[5*]N1CCOCC1")),
+            parent_canonical="",
+            cleaved=(),
+            provenance=None,
+        )
+
+    return {
+        "fragment 0": lambda: cut().fragments[0],
+        "fragment 1": lambda: cut().fragments[1],
+        "uncut fragment": lambda: fragment(parse_smiles("C"), default_params).fragments[0],
+        "rejoin with provenance": lambda: rejoin(cut()),
+        "rejoin by labels": lambda: rejoin(labelled()),
+        "capped 0": lambda: carbon_cap(cut().fragments[0]),
+        "capped 1": lambda: carbon_cap(cut().fragments[1]),
+    }
+
+
+class TestBuiltMolecules:
+    def test_carry_their_canonical_smiles(self, default_params):
+        for name, build in _built_molecules(default_params).items():
+            m = build()
+            assert m.source_text == canonical_smiles(m), name
+
+    def test_keep_no_topology(self, default_params):
+        for name, build in _built_molecules(default_params).items():
+            assert not set(TOPOLOGY) & set(vars(build())), name
