@@ -78,7 +78,7 @@ class FragmentParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
 
 
@@ -190,14 +190,17 @@ def max_fragments(length: int, k: int, alpha: float) -> int:
 
     Below the library average ``k`` the cap is the length itself;
     otherwise ceil(length/k) is raised to ``alpha`` and rounded up,
-    clamped to the length. Raises ValueError on non-positive inputs.
+    clamped to the length (also when the power overflows a float).
+    Raises ValueError on non-positive inputs and a NaN ``alpha``.
     """
-    if length < 1 or k < 1 or alpha <= 0:
+    if length < 1 or k < 1 or not alpha > 0:
         raise ValueError("length, k must be >= 1 and alpha > 0")
     if length < k:
         return length
-    chunks = math.ceil(length / k)
-    return min(length, math.ceil(chunks**alpha))
+    try:
+        return min(length, math.ceil(math.ceil(length / k) ** alpha))
+    except OverflowError:
+        return length
 
 
 def find_brics_bonds(m: Molecule, rules: RuleTable | None = None) -> list[BricsBond]:

@@ -4,6 +4,7 @@ every text file the package reads."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,8 +146,12 @@ def resolve_config(
         for key, value in layer.items():
             if key in _FIELD_TYPES:
                 setattr(cfg, key, value)
-    if cfg.special_pairing not in ("mnemonic", "paper"):
-        raise ConfigError(
-            f"special_pairing must be 'mnemonic' or 'paper', got {cfg.special_pairing!r}"
-        )
+    for key, ok, allowed in (
+        ("k", cfg.k is None or cfg.k >= 1, ">= 1"),
+        ("alpha", 0 < cfg.alpha < math.inf, "a finite number > 0"),
+        ("shards", cfg.shards >= 1, ">= 1"),
+        ("special_pairing", cfg.special_pairing in ("mnemonic", "paper"), "'mnemonic' or 'paper'"),
+    ):
+        if not ok:
+            raise ConfigError(f"{key} must be {allowed}, got {getattr(cfg, key)!r}")
     return cfg

@@ -60,6 +60,11 @@ def _atom_hashes(m: Molecule, n_fields: int | None = None) -> list[int]:
     return [codes[inv] for inv in invariants]
 
 
+def _check_width(width: int) -> None:
+    if width < 1 or width & (width - 1):
+        raise ValueError("width must be a power of two")
+
+
 @dataclass(frozen=True)
 class FingerprintBitset:
     """Fixed-width bit vector; compare only matching scheme and width."""
@@ -69,8 +74,7 @@ class FingerprintBitset:
     scheme: str
 
     def __post_init__(self):
-        if self.width < 1 or self.width & (self.width - 1):
-            raise ValueError("width must be a power of two")
+        _check_width(self.width)
 
     def count(self) -> int:
         return self.bits.bit_count()
@@ -251,6 +255,7 @@ def fingerprint(m: Molecule, scheme: str, width: int = 2048) -> FingerprintBitse
     path: simple linear bond paths of length 1..7 hashed to ``width``.
     keys: the fixed structural-key table, one bit per key.
     """
+    _check_width(width)
     report = m.validity
     if not report.valid:
         raise FingerprintError(f"invalid molecule: {report.failures[0][1]}")

@@ -5,12 +5,18 @@ Supports the subset of SMARTS-style syntax the shipped rule tables use:
 * atom primitives: element symbols (``C``, ``Cl``, aromatic ``c``/``n``/...),
   ``#n`` atomic number, ``*`` any, ``a``/``A`` aromatic/aliphatic,
   ``D<n>`` heavy-atom degree, ``H<n>`` total hydrogens, ``R``/``R0`` ring
-  membership, ``+``/``-`` charges, ``!`` negation, ``$(...)`` recursive
-  match, with ``;`` (low AND), ``,`` (OR) and ``&``/juxtaposition (high AND);
-* bond primitives: ``-`` ``=`` ``#`` ``:`` ``~`` plus ``@``/``!@`` ring
-  constraints, combinable with ``;``/``&`` and ``,``; an unspecified bond
-  means single-or-aromatic;
+  membership, ``+``/``-`` charges, ``$(...)`` recursive match;
+* bond primitives: ``-`` ``=`` ``#`` ``:`` ``~`` and ``@`` (ring bond); an
+  unspecified bond means single-or-aromatic;
 * branches and single-digit ring closures.
+
+Bracket atoms and bonds are expressions with one operator table,
+tightest first (an empty term, as in ``[;C]`` or ``C;C``, is an error)::
+
+    !                       not   [!C]      C!@C
+    & or juxtaposition      and   [C&R]     C-&@C, C-@C
+    ,                       or    [N,O]     C-,=C
+    ;                       and   [N,O;R]   C-,=;@C
 
 Patterns are matched anchored: the first pattern atom maps onto a chosen
 molecule atom, remaining atoms are assigned by backtracking.
@@ -77,9 +83,6 @@ class Pattern:
     required: dict[tuple, int] = field(default_factory=dict)
     steps: tuple[_Step, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def _atomic_number(m: Molecule, idx: int) -> int:
     return ATOMIC_NUMBERS.get(m.atoms[idx].element, -1)
@@ -100,37 +103,21 @@ _BOND_PRIMS: dict[str, BondTest] = {
 }
 
 
+def _scan_bond(expr: str, i: int) -> tuple[BondTest, AtomKind, int]:
+    """The bond primitive at ``expr[i]``: :func:`compile_pattern` gathers
+    only bond characters into a bond expression."""
+    return _BOND_PRIMS[expr[i]], None, i + 1
+
+
 def _compile_bond(expr: str) -> BondTest:
-    if not expr:
-        return _bond_single_or_aromatic
-    groups = [g for g in expr.replace("&", ";").split(";") if g != ""]
-    tests: list[BondTest] = []
-    for g in groups:
-        alts: list[BondTest] = []
-        for alt in g.split(","):
-            neg = False
-            while alt.startswith("!"):
-                neg = not neg
-                alt = alt[1:]
-            if alt not in _BOND_PRIMS:
-                raise PatternError(f"bad bond primitive {alt!r}")
-            base = _BOND_PRIMS[alt]
-            alts.append((lambda m, bi, b=base: not b(m, bi)) if neg else base)
-        tests.append(
-            alts[0] if len(alts) == 1
-            else (lambda m, bi, aa=tuple(alts): any(t(m, bi) for t in aa))
-        )
-    if len(tests) == 1:
-        return tests[0]
-    return lambda m, bi, tt=tuple(tests): all(t(m, bi) for t in tt)
+    """An empty bond is single-or-aromatic; any other is an expression."""
+    return _compile_expr(expr, _scan_bond)[0] if expr else _bond_single_or_aromatic
 
 
-def _elem_test(symbol: str, aromatic: bool | None) -> AtomTest:
+def _elem_test(symbol: str, aromatic: bool) -> AtomTest:
     def test(m: Molecule, idx: int) -> bool:
         a = m.atoms[idx]
-        if a.element != symbol:
-            return False
-        return aromatic is None or a.aromatic == aromatic
+        return a.element == symbol and a.aromatic == aromatic
 
     return test
 
@@ -209,8 +196,9 @@ def _first_kind(kinds) -> AtomKind:
     return next((k for k in kinds if k is not None), None)
 
 
-def _compile_atom_expr(expr: str) -> tuple[AtomTest, AtomKind]:
-    """Compile a bracket atom expression honoring !, &, ',' and ';'.
+def _compile_expr(expr: str, scan: Callable) -> tuple[AtomTest, AtomKind]:
+    """Compile an atom or bond expression honoring !, &, ',' and ';',
+    reading each primitive with ``scan``.
 
     The kind is pinned when an AND-ed term pins it: a non-negated element
     primitive, or an OR whose alternatives all pin the same kind."""
@@ -225,15 +213,17 @@ def _compile_atom_expr(expr: str) -> tuple[AtomTest, AtomKind]:
                 groups.append([[]])
             elif ch == ",":
                 groups[-1].append([])
+            elif not groups[-1][-1] or expr[i + 1 : i + 2] in ("", ";", ",", "&"):
+                raise PatternError(f"empty term in {expr!r}")
             i += 1
             continue
         neg = False
         while i < len(expr) and expr[i] == "!":
             neg = not neg
             i += 1
-        if i >= len(expr):
+        if i >= len(expr) or expr[i] in ";,&":
             raise PatternError(f"dangling '!' in {expr!r}")
-        test, kind, i = _scan_primitive(expr, i)
+        test, kind, i = scan(expr, i)
         if neg:
             test = (lambda m, idx, t=test: not t(m, idx))
             kind = None
@@ -279,7 +269,7 @@ def compile_pattern(text: str) -> Pattern:
             j = _closing(text, i)
             if j < 0:
                 raise PatternError(f"unterminated '[' in {text!r}")
-            test, kind = _compile_atom_expr(text[i + 1 : j - 1])
+            test, kind = _compile_expr(text[i + 1 : j - 1], _scan_primitive)
             i = j
         elif ch in "-=#:~@!;,&":
             pending += ch
@@ -338,7 +328,7 @@ def compile_pattern(text: str) -> Pattern:
         text=text,
         root_kind=nodes[0].kind,
         required=dict(required),
-        steps=tuple(_step(nodes, k) for k in range(1, len(nodes))),
+        steps=tuple((*n.anchor, n.test, tuple(n.extra)) for n in nodes[1:]),
     )
 
 
@@ -373,11 +363,6 @@ def _ring_kinds(nodes: list[_Node]) -> list[tuple]:
             if len(path) >= 3:
                 on_cycle.update(path)
     return [(nodes[i].kind, "@") for i in on_cycle if nodes[i].kind]
-
-
-def _step(nodes: list[_Node], k: int) -> _Step:
-    anchor, bond_test = nodes[k].anchor
-    return anchor, bond_test, nodes[k].test, tuple(nodes[k].extra)
 
 
 def match_at(pattern: Pattern, m: Molecule, root: int) -> bool:

@@ -75,7 +75,7 @@ def _default_base_tokens() -> list[str]:
     return tokens
 
 
-_UNIT_RE = re.compile(r"\[[^\[\]]*\]|%\d\d|Cl|Br|.", re.S)
+_UNIT_RE = re.compile(r"\[[^\[\]]*\]|%[0-9][0-9]|Cl|Br|.", re.S)
 
 
 def _split_units(text: str) -> list[tuple[int, int]]:
@@ -198,26 +198,15 @@ def build_vocab(group_file: str | Path | None = None) -> Vocab:
     ``group_file`` defaults to the shipped 180-entry table; pass a path
     to substitute it. Duplicate tokens anywhere raise DuplicateTokenError.
     """
-    tokens: list[str] = []
-    classes: list[str] = []
-    seen: set[str] = set()
-
-    def add(tok: str, cls: str) -> None:
-        if tok in seen:
-            raise DuplicateTokenError(f"duplicate token {tok!r}")
-        seen.add(tok)
-        tokens.append(tok)
-        classes.append(cls)
-
-    for tok in SPECIAL_TOKENS:
-        add(tok, CLASS_SPECIAL)
-    for tok in DUMMY_TOKENS:
-        add(tok, CLASS_DUMMY)
-    for tok in _default_base_tokens():
-        add(tok, CLASS_BASE)
-    for tok in read_group_file(group_file, reserved=seen):
-        add(tok, CLASS_GROUP)
-    return Vocab(tokens=tuple(tokens), classes=tuple(classes))
+    parts = {
+        CLASS_SPECIAL: SPECIAL_TOKENS, CLASS_DUMMY: DUMMY_TOKENS, CLASS_BASE: _default_base_tokens(),
+    }
+    reserved = {t for ts in parts.values() for t in ts}
+    parts[CLASS_GROUP] = read_group_file(group_file, reserved=reserved)
+    return Vocab(
+        tokens=tuple(t for ts in parts.values() for t in ts),
+        classes=tuple(cls for cls, ts in parts.items() for _ in ts),
+    )
 
 
 @dataclass(frozen=True)

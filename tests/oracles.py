@@ -7,7 +7,8 @@ formula, a BRICS labelling that scans every atom with every rule, the
 first dict-based canonical ranking, the two-pass canonical writer, the
 per-bond small-ring search, an all-lengths longest-match tokenizer, the
 stack-based linear-path fingerprint walk, the closure-based anchored
-pattern matcher, the string-keyed implicit-hydrogen and sigma-valence
+pattern matcher, a bond-expression evaluator that splits the text by
+the operator table, the string-keyed implicit-hydrogen and sigma-valence
 rules, the character-scanning SMILES lexer, and the molecule assembly
 that perceived aromatic rings on every parse. The BRICS scan reuses
 the pattern matcher: what it checks is which atoms and rules get tried,
@@ -615,6 +616,39 @@ def match_at_reference(pattern, m, root):
 _ORDER_NAME = {SINGLE: "single", DOUBLE: "double", TRIPLE: "triple", AROMATIC: "aromatic"}
 _ORDER_VALUE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1.5}
 _SIGMA_VALUE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1}
+
+
+_BOND_ORDER_OF = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+
+
+def bond_expr_reference(expr: str, m, bi: int) -> bool:
+    """Evaluate a non-empty, well-formed bond expression on bond ``bi``
+    by the SMARTS operator table read from the loosest operator down:
+    split on ';' (and), then ',' (or), then '&' (and); what is left is a
+    run of juxtaposed primitives (and), each negated by the '!'s before
+    it."""
+
+    def primitive(ch: str) -> bool:
+        if ch == "~":
+            return True
+        if ch == "@":
+            return bi in m.ring_bonds
+        return m.bonds[bi].order == _BOND_ORDER_OF[ch]
+
+    def run(text: str) -> bool:
+        value, negated = True, False
+        for ch in text:
+            if ch == "!":
+                negated = not negated
+            else:
+                value = value and primitive(ch) != negated
+                negated = False
+        return value
+
+    return all(
+        any(all(run(part) for part in alt.split("&")) for alt in group.split(","))
+        for group in expr.split(";")
+    )
 
 
 def default_hydrogens_reference(element, aromatic, orders):

@@ -54,6 +54,17 @@ class TestMaxFragments:
     def test_matches_straight_line_reference(self, length, k, alpha):
         assert max_fragments(length, k, alpha) == fragment_cap_reference(length, k, alpha)
 
+    def test_nan_alpha_refused(self):
+        with pytest.raises(ValueError):
+            max_fragments(100, 10, float("nan"))
+        with pytest.raises(ValueError, match="alpha"):
+            FragmentParams(k=10, alpha=float("nan"))
+
+    @pytest.mark.parametrize("alpha", [1e6, float("inf")])
+    def test_overflowing_power_caps_at_length(self, alpha):
+        assert max_fragments(100, 10, alpha) == 100
+        assert max_fragments(9, 10, alpha) == 9
+
     def test_result_at_least_one(self):
         assert max_fragments(1, 1, 0.5) >= 1
         assert max_fragments(2, 1, 0.01) >= 1

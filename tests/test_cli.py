@@ -361,6 +361,37 @@ class TestConfig:
             main(["--special-pairing", "upside-down", "tokenize", "C"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, key", [
+        (["--k", "0", "fragment", "CCO"], "k"),
+        (["--k", "-3", "build", "--library", "unused.tsv"], "k"),
+        (["--alpha", "0", "fragment", "CCO"], "alpha"),
+        (["--alpha", "-1", "fragment", "CCO"], "alpha"),
+        (["--alpha", "nan", "fragment", "CCO"], "alpha"),
+        (["--alpha", "inf", "build", "--library", "unused.tsv"], "alpha"),
+        (["--shards", "0", "build", "--library", "unused.tsv"], "shards"),
+    ])
+    def test_out_of_range_setting_is_a_config_error(self, capsys, argv, key):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error[config]: {key} must be ")
+
+    def test_out_of_range_setting_from_env_or_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FRAGSMITH_ALPHA", "inf")
+        assert main(["fragment", "CCO"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error[config]: alpha must be a finite number > 0, got inf\n"
+        monkeypatch.delenv("FRAGSMITH_ALPHA")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("shards = -1\n")
+        assert main(["--config", str(cfg), "tokenize", "CCO"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error[config]: shards must be >= 1, got -1\n"
+
+    def test_large_alpha_caps_at_the_length(self, small_library, tmp_path, capsys):
+        smiles = "C" * 90
+        assert main(["--alpha", "1e6", "fragment", smiles]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("# cap=90 ")
+        out = tmp_path / "ds"
+        argv = ["--alpha", "1e6", "build", "--library", str(small_library), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+
 
 class TestConfigNamedFiles:
     """A bad --templates, --vocab or --groups file is a config error."""

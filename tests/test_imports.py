@@ -1,8 +1,9 @@
 """Every name a package module imports at module level is used in it,
 every module-level private name is read somewhere in the package, no
-module calls ``str.isdigit`` or keeps state between calls, only
-``config.read_lines`` opens a file to read it, and outside ``molgraph``
-no module writes into a ``__dict__`` or builds a ``Molecule`` twin.
+module calls ``str.isdigit``, writes ``\\d`` in a regex or keeps state
+between calls, only ``config.read_lines`` opens a file to read it, and
+outside ``molgraph`` no module writes into a ``__dict__`` or builds a
+``Molecule`` twin.
 
 No linter ships with the project, so this parses each module with
 ``ast``. ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -10,6 +11,7 @@ skipped by the import check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,38 @@ def test_no_isdigit_calls(path):
 def test_check_sees_an_isdigit_call():
     source = "def f(s):\n    x = s.strip()\n    return x.isdigit() and int(x)\n"
     assert _isdigit_calls(source) == [3]
+
+
+# An unescaped ``\d``: preceded by an even number of backslashes.
+_DIGIT_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\d")
+
+
+def _regex_digit_classes(source: str) -> list[int]:
+    """Lines of regex literals (a string pattern passed to an ``re``
+    function) that use ``\\d``: like ``isdigit`` it accepts every
+    Unicode decimal digit, such as U+0661 (Arabic-Indic one)."""
+    return [
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "re"
+        and n.args and isinstance(n.args[0], ast.Constant) and isinstance(n.args[0].value, str)
+        and _DIGIT_CLASS.search(n.args[0].value)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_regex_digit_classes(path):
+    assert _regex_digit_classes(path.read_text()) == []
+
+
+def test_check_sees_a_regex_digit_class():
+    source = (
+        "import re\n"
+        "_UNIT_RE = re.compile(r\"\\[[^\\[\\]]*\\]|%\\d\\d|Cl|Br|.\", re.S)\n"
+        "_OK = re.compile(r\"[0-9]+\\\\d\")\n"
+        "n = re.match(\"\\\\d+\", s)\n"
+    )
+    assert _regex_digit_classes(source) == [2, 4]
 
 
 def _is_cache_decorator(node: ast.expr) -> bool:

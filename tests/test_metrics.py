@@ -184,6 +184,12 @@ class TestFingerprint:
         with pytest.raises(ValueError):
             FingerprintBitset(bits=0, width=100, scheme=MORGAN)
 
+    @pytest.mark.parametrize("scheme", [MORGAN, PATH, KEYS])
+    @pytest.mark.parametrize("width", [0, -4, 3, 100])
+    def test_fingerprint_checks_width_first(self, scheme, width):
+        with pytest.raises(ValueError, match="width must be a power of two"):
+            fingerprint(parse_smiles("CCO"), scheme, width=width)
+
     def test_key_table_size(self):
         assert KEY_TABLE_SIZE == 128
         f = fingerprint(parse_smiles("CCO"), KEYS)

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fragsmith.metrics import _KEY_PATTERNS
-from fragsmith.molgraph import DOUBLE, TRIPLE, parse_smiles
+from fragsmith.molgraph import AROMATIC, DOUBLE, SINGLE, TRIPLE, parse_smiles
 from fragsmith.patterns import PatternError, compile_pattern, has_match, match_at
+
+from oracles import bond_expr_reference
 
 
 def indices(pattern_text, smiles):
@@ -157,3 +160,61 @@ def test_required_bonds_and_ring_kinds():
 def test_ring_closure_onto_its_own_node_rejected(text):
     with pytest.raises(PatternError, match="to itself"):
         compile_pattern(text)
+
+
+# Bond expressions share the atoms' operator table: '!' binds tightest,
+# then '&' and juxtaposition, then ',', then ';'.
+def test_and_binds_tighter_than_or_in_bonds():
+    assert indices("C-&@,=C", "CC=CC") == [1, 2]
+    assert indices("C=,-&@C", "CC=CC") == [1, 2]
+    assert indices("C-&@,=C", "CCCC") == []
+
+
+def test_juxtaposed_bond_primitives():
+    assert indices("C-@C", "CC1CC1") == [1, 2, 3]
+    assert indices("C-!@C", "CC1CC1") == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["C;C", "C&C", "C,C", "C-;C", "C;-C", "C-&C", "C&-C", "C-&&@C", "C!;-C", "C-,!C",
+     "[C&]", "[&C]", "[C&&N]", "[C,&N]", "[!;C]"],
+)
+def test_empty_terms_rejected(bad):
+    with pytest.raises(PatternError):
+        compile_pattern(bad)
+
+
+# Single, double and aromatic bonds in a ring and outside one, and an
+# acyclic triple bond.
+_BOND_MOLECULES = [
+    parse_smiles(s)
+    for s in ("CC1CC1C=C", "C1=CCCC1", "c1ccccc1-c1ccccc1", "c1ccccc1:c1ccccc1", "CC#N")
+]
+
+# A run of juxtaposed primitives, each after zero to two '!'.
+_bond_terms = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from("-=#:~@")), min_size=1, max_size=3
+).map(lambda run: "".join("!" * n + prim for n, prim in run))
+_bond_exprs = st.lists(
+    st.lists(st.lists(_bond_terms, min_size=1, max_size=3).map("&".join), min_size=1, max_size=3)
+    .map(",".join),
+    min_size=1, max_size=3,
+).map(";".join)
+
+
+def test_bond_molecules_cover_every_kind():
+    kinds = {
+        (m.bonds[bi].order, bi in m.ring_bonds)
+        for m in _BOND_MOLECULES for bi in range(len(m.bonds))
+    }
+    wanted = {(order, ring) for order in (SINGLE, DOUBLE, AROMATIC) for ring in (False, True)}
+    assert wanted | {(TRIPLE, False)} <= kinds
+
+
+@given(_bond_exprs)
+def test_bond_expressions_follow_the_operator_table(expr):
+    bond_test = compile_pattern(f"*{expr}*").nodes[1].anchor[1]
+    for m in _BOND_MOLECULES:
+        for bi in range(len(m.bonds)):
+            assert bond_test(m, bi) == bond_expr_reference(expr, m, bi), (expr, m.source_text, bi)

@@ -105,6 +105,12 @@ class TestBuildVocab:
         with pytest.raises(TokenizerError, match="not exactly one atom unit"):
             Vocab(tokens=tokens, classes=classes)
 
+    def test_ring_label_digits_are_ascii(self, vocab):
+        # "%" + two Arabic-Indic digits: three units, not a ring label.
+        tokens, classes = (*vocab.tokens, "%\u0661\u0662"), (*vocab.classes, "base")
+        with pytest.raises(TokenizerError, match="not exactly one atom unit"):
+            Vocab(tokens=tokens, classes=classes)
+
     def test_load_rejects_a_multi_unit_base_token(self, vocab, tmp_path):
         path = tmp_path / "v.tsv"
         vocab.save(path)
