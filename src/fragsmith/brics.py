@@ -314,13 +314,7 @@ def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
         if bi in cut_ids:
             continue
         a, b = bond.endpoints
-        frag_bonds[comp_of[a]].append(
-            Bond(
-                endpoints=(local_idx[a], local_idx[b]),
-                order=bond.order,
-                stereo_annotation=bond.stereo_annotation,
-            )
-        )
+        frag_bonds[comp_of[a]].append(Bond((local_idx[a], local_idx[b]), bond.order))
 
     provenance: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for bb in chosen:

@@ -142,7 +142,7 @@ def _cmd_build(args, cfg: PipelineConfig) -> int:
                 "records": manifest.total_records,
                 "shards": len(manifest.shards),
                 "pairs": counters.emitted_pairs,
-                **counters.__dict__,
+                **{k: v for k, v in vars(counters).items() if k != "emitted_pairs"},
             },
             indent=2,
         )

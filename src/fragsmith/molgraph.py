@@ -7,8 +7,11 @@ symbol chirality? H-count? charge? class? ``]``: the symbol is ``*``, an
 element (two letters only where the pair names one) or an aromatic
 ``b c n o p s se as``; a charge is ``+``, ``++`` or ``+2`` (likewise
 ``-``); the atom class is read and dropped. Only ASCII ``0``-``9`` count
-as digits. Stereo markers (/, \\, @, @@) are parsed and preserved as
-annotations but never interpreted; the canonical writer omits them.
+as digits. Stereo markers (``/``, ``\\``, ``@``, ``@@``) are read and
+dropped: the graph holds no configuration, so ``F/C=C\\F`` parses to the
+same atoms and bonds as ``FC=CF``. Each atom holds one hydrogen count,
+the bracket's for a bracket atom and the valence model's otherwise, so
+``[CH4]`` and ``C`` parse to equal atoms.
 
 Kekule-form rings that pass a Huckel electron count are normalized to
 aromatic form at parse time, so alternative serializations of the same
@@ -66,23 +69,18 @@ class SmilesError(ValueError):
 class Atom:
     """One atom of a molecular graph.
 
-    ``explicit_h`` is the bracket-specified hydrogen count; ``implicit_h``
-    is filled from the valence model for organic-subset atoms. Dummy atoms
-    (``element == "*"``) carry the BRICS link label in ``link_label``.
+    ``h_total`` is its one hydrogen count: the bracket's count for a
+    bracket atom, the valence model's count for an organic-subset atom.
+    Dummy atoms (``element == "*"``) carry the BRICS link label in
+    ``link_label``.
     """
 
     element: str
     aromatic: bool = False
     formal_charge: int = 0
-    explicit_h: int = 0
+    h_total: int = 0
     isotope: int | None = None
     link_label: int | None = None
-    implicit_h: int = 0
-    stereo: str | None = None
-
-    @property
-    def h_total(self) -> int:
-        return self.explicit_h + self.implicit_h
 
     @property
     def is_dummy(self) -> bool:
@@ -92,12 +90,11 @@ class Atom:
 @dataclass(frozen=True)
 class Bond:
     """Edge between two atom indices. ``order`` is one of the ints
-    ``SINGLE``, ``DOUBLE``, ``TRIPLE`` and ``AROMATIC`` (1 to 4);
-    ``stereo_annotation`` keeps /\\ marks."""
+    ``SINGLE``, ``DOUBLE``, ``TRIPLE`` and ``AROMATIC`` (1 to 4); a ``/``
+    or ``\\`` written on the bond is not kept."""
 
     endpoints: tuple[int, int]
     order: int = SINGLE
-    stereo_annotation: str | None = None
 
 
 class _lazy:
@@ -217,7 +214,7 @@ def atom_invariant(m: Molecule, i: int) -> tuple[int, ...]:
     what the fingerprints hash."""
     a = m.atoms[i]
     return (ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge, a.isotope or 0,
-            a.link_label or 0, a.explicit_h + a.implicit_h, len(m.neighbors[i]))
+            a.link_label or 0, a.h_total, len(m.neighbors[i]))
 
 
 def bond_kind(a: tuple[str, bool], order: int, b: tuple[str, bool]) -> tuple:
@@ -338,9 +335,9 @@ _ORGANIC = {
 # one character (so an unclosed "[" or a bare "%" is a token of its own).
 _TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9][0-9]|.", re.S)
 # The inside of a bracket atom: isotope, symbol, chirality, hydrogen
-# count, charge and an atom class, which is discarded.
+# count, charge and an atom class; the chirality and class are discarded.
 _BRACKET = re.compile(
-    r"([0-9]*)(\*|[A-Z][a-z]?|se|as|[a-z])(@*)(H[0-9]*)?([+-][0-9]+|\++|-+)?(?::[0-9]+)?"
+    r"([0-9]*)(\*|[A-Z][a-z]?|se|as|[a-z])@*(H[0-9]*)?([+-][0-9]+|\++|-+)?(?::[0-9]+)?"
 )
 
 
@@ -349,11 +346,9 @@ class _WorkAtom:
     element: str
     aromatic: bool = False
     charge: int = 0
-    explicit_h: int = 0
+    h_total: int = 0
     isotope: int | None = None
     link_label: int | None = None
-    implicit_h: int = 0
-    stereo: str | None = None
     bracket: bool = False
 
 
@@ -364,11 +359,13 @@ def parse_charge(spelling: str) -> int:
 
 
 def _parse_bracket(body: str, offset: int) -> _WorkAtom:
-    """Parse the inside of a bracket atom: isotope symbol stereo H charge class."""
+    """Parse the inside of a bracket atom: isotope symbol chirality H
+    charge class. The chirality (``@``, ``@@``) and the class are read and
+    dropped; the H count is the atom's whole hydrogen count."""
     match = _BRACKET.fullmatch(body)
     if match is None:
         raise SmilesError(f"bad bracket atom [{body}]", offset)
-    isotope, sym, stereo, hcount, charge = match.groups()
+    isotope, sym, hcount, charge = match.groups()
     aromatic = sym.islower()
     if aromatic:
         sym = sym.capitalize()
@@ -379,8 +376,8 @@ def _parse_bracket(body: str, offset: int) -> _WorkAtom:
     atom = _WorkAtom(
         element=sym, aromatic=aromatic,
         charge=parse_charge(charge) if charge else 0,
-        explicit_h=int(hcount[1:] or 1) if hcount else 0,
-        isotope=int(isotope) if isotope else None, stereo=stereo or None, bracket=True,
+        h_total=int(hcount[1:] or 1) if hcount else 0,
+        isotope=int(isotope) if isotope else None, bracket=True,
     )
     if sym == DUMMY and atom.isotope is not None:
         if not 1 <= atom.isotope <= 16:
@@ -400,23 +397,22 @@ def parse_smiles(text: str) -> Molecule:
         raise SmilesError("empty SMILES", 0)
 
     atoms: list[_WorkAtom] = []
-    bonds: list[tuple[int, int, int | None, str | None]] = []  # a, b, order, stereo
+    bonds: list[tuple[int, int, int | None]] = []  # a, b, order
     prev: int | None = None
     pending_bond: int | None = None
-    pending_stereo: str | None = None
     branch_stack: list[int | None] = []
-    ring_open: dict[int, tuple[int, int | None, str | None, int]] = {}
+    ring_open: dict[int, tuple[int, int | None, int]] = {}
 
     bond_pairs: set[frozenset[int]] = set()
 
-    def add_bond(a: int, b: int, order: int | None, stereo: str | None, off: int) -> None:
+    def add_bond(a: int, b: int, order: int | None, off: int) -> None:
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", off)
         pair = frozenset((a, b))
         if pair in bond_pairs:
             raise SmilesError("duplicate bond between the same atoms", off)
         bond_pairs.add(pair)
-        bonds.append((a, b, order, stereo))
+        bonds.append((a, b, order))
 
     # Each token spans text[i : last + 1]; an error points at i or last.
     last = -1
@@ -436,8 +432,7 @@ def parse_smiles(text: str) -> Molecule:
             pending_bond = BOND_ORDERS[tok]
             continue
         elif tok in ("/", "\\"):
-            pending_stereo = tok
-            continue
+            continue  # a double-bond configuration mark: read and dropped
         elif tok == "(":
             if prev is None:
                 raise SmilesError("branch before any atom", i)
@@ -452,7 +447,6 @@ def parse_smiles(text: str) -> Molecule:
             if pending_bond is not None:
                 raise SmilesError("bond symbol before '.'", i)
             prev = None
-            pending_stereo = None
             continue
         elif ch in "%0123456789":
             if tok == "%":
@@ -461,15 +455,14 @@ def parse_smiles(text: str) -> Molecule:
             if prev is None:
                 raise SmilesError("ring closure before any atom", last)
             if num in ring_open:
-                other, order0, stereo0, _ = ring_open.pop(num)
+                other, order0, _ = ring_open.pop(num)
                 order = pending_bond if pending_bond is not None else order0
                 if order0 is not None and pending_bond is not None and order0 != pending_bond:
                     raise SmilesError(f"conflicting orders on ring closure {num}", last)
-                add_bond(other, prev, order, stereo0 or pending_stereo, last)
+                add_bond(other, prev, order, last)
             else:
-                ring_open[num] = (prev, pending_bond, pending_stereo, last)
+                ring_open[num] = (prev, pending_bond, last)
             pending_bond = None
-            pending_stereo = None
             continue
         else:
             raise SmilesError(f"unexpected character {ch!r}", i)
@@ -477,15 +470,14 @@ def parse_smiles(text: str) -> Molecule:
         idx = len(atoms)
         atoms.append(new_atom)
         if prev is not None:
-            add_bond(prev, idx, pending_bond, pending_stereo, last)
+            add_bond(prev, idx, pending_bond, last)
         elif pending_bond is not None:
             raise SmilesError("dangling bond symbol", last)
         pending_bond = None
-        pending_stereo = None
         prev = idx
 
     if ring_open:
-        num, (_, _, _, off) = min(ring_open.items(), key=lambda kv: kv[1][3])
+        num, (_, _, off) = min(ring_open.items(), key=lambda kv: kv[1][2])
         raise SmilesError(f"unmatched ring closure {num}", off)
     if branch_stack:
         raise SmilesError("unmatched '('", last)
@@ -499,15 +491,15 @@ def parse_smiles(text: str) -> Molecule:
 
 def _assemble(
     work: list[_WorkAtom],
-    raw_bonds: list[tuple[int, int, int | None, str | None]],
+    raw_bonds: list[tuple[int, int, int | None]],
     text: str,
 ) -> Molecule:
     """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
-    ends = [(a, b) for a, b, _, _ in raw_bonds]
+    ends = [(a, b) for a, b, _ in raw_bonds]
     neighbors = _adjacency(len(work), ends)
     ring = frozenset(range(len(ends))) - _bridges(neighbors)
     orders: list[int] = []
-    for bi, (a, b, order, _) in enumerate(raw_bonds):
+    for bi, (a, b, order) in enumerate(raw_bonds):
         if order is None:
             # Aromatic on a ring only: biphenyl's inter-ring bond is single.
             order = AROMATIC if work[a].aromatic and work[b].aromatic and bi in ring else SINGLE
@@ -516,14 +508,14 @@ def _assemble(
     adj = [[(j, orders[bi]) for j, bi in nbrs] for nbrs in neighbors]
     for w, bonded in zip(work, adj):
         if not (w.bracket or w.element == DUMMY):
-            w.implicit_h = _default_hydrogens(w.element, w.aromatic, [o for _, o in bonded])
+            w.h_total = _default_hydrogens(w.element, w.aromatic, [o for _, o in bonded])
 
     if _may_aromatize(work, ends, orders, adj, ring):
-        _perceive_aromatic(work, raw_bonds, orders, adj, _small_rings(neighbors, ring, ends))
+        _perceive_aromatic(work, ends, orders, adj, _small_rings(neighbors, ring, ends))
 
-    atoms = tuple(Atom(w.element, w.aromatic, w.charge, w.explicit_h, w.isotope, w.link_label,
-                       w.implicit_h, w.stereo) for w in work)
-    bonds = tuple(Bond(e, o, s) for e, o, (_, _, _, s) in zip(ends, orders, raw_bonds))
+    atoms = tuple(Atom(w.element, w.aromatic, w.charge, w.h_total, w.isotope, w.link_label)
+                  for w in work)
+    bonds = tuple(map(Bond, ends, orders))
     mol = Molecule(atoms, bonds, text)
     # Same bonds in the same order: the topology found above holds.
     mol.__dict__.update(neighbors=neighbors, ring_bonds=ring)
@@ -582,7 +574,7 @@ def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> i
         if el in _AROMATIC_PI:
             return _AROMATIC_PI[el]
         # N/P: three sigma partners (bonds + H) means the lone pair is in the ring
-        return 2 if (len(adj[i]) + w.explicit_h + w.implicit_h) >= 3 else 1
+        return 2 if (len(adj[i]) + w.h_total) >= 3 else 1
     doubles_in = doubles_out = 0
     for j, o in adj[i]:
         if o == DOUBLE:
@@ -626,7 +618,7 @@ def _may_aromatize(work, ends, orders, adj, ring: frozenset[int]) -> bool:
     return False
 
 
-def _perceive_aromatic(work, raw_bonds, orders, adj, rings) -> None:
+def _perceive_aromatic(work, ends, orders, adj, rings) -> None:
     """Upgrade Huckel-count rings written in Kekule form to aromatic.
 
     ``adj`` holds each atom's (neighbour, order) pairs under ``orders``,
@@ -661,7 +653,7 @@ def _perceive_aromatic(work, raw_bonds, orders, adj, rings) -> None:
         for r in ring_group:
             for x in range(len(r)):
                 ring_bond_pairs.add(frozenset((r[x], r[(x + 1) % len(r)])))
-        for bi, (a, b, _, _) in enumerate(raw_bonds):
+        for bi, (a, b) in enumerate(ends):
             if frozenset((a, b)) in ring_bond_pairs and orders[bi] in (SINGLE, DOUBLE):
                 orders[bi] = AROMATIC
         return True
@@ -826,7 +818,7 @@ def _atom_token(m: Molecule, i: int) -> str:
     if el == DUMMY:
         return f"[{a.link_label}*]" if a.link_label else DUMMY
     sym = el.lower() if a.aromatic else el
-    h = a.explicit_h + a.implicit_h
+    h = a.h_total
     if (
         a.isotope is None
         and a.formal_charge == 0
@@ -955,7 +947,7 @@ def canonical_smiles(m: Molecule) -> str:
     """Deterministic canonical serialization of the molecular graph.
 
     Isomorphic attributed graphs give byte-identical output; the output
-    re-parses to an isomorphic graph. Stereo annotations are dropped.
+    re-parses to an isomorphic graph.
     """
     return write_smiles(m)
 

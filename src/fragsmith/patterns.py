@@ -8,7 +8,8 @@ Supports the subset of SMARTS-style syntax the shipped rule tables use:
   membership, ``+``/``-`` charges, ``$(...)`` recursive match;
 * bond primitives: ``-`` ``=`` ``#`` ``:`` ``~`` and ``@`` (ring bond); an
   unspecified bond means single-or-aromatic;
-* branches and single-digit ring closures.
+* branches and single-digit ring closures; a bond may be written at
+  either digit, or at both when the two texts are the same.
 
 Bracket atoms and bonds are expressions with one operator table,
 tightest first (an empty term, as in ``[;C]`` or ``C;C``, is an error)::
@@ -295,6 +296,8 @@ def compile_pattern(text: str) -> Pattern:
                 other, expr0 = ring_open.pop(num)
                 if other == prev:
                     raise PatternError(f"ring closure {num} bonds a node to itself in {text!r}")
+                if expr0 and pending and expr0 != pending:
+                    raise PatternError(f"conflicting bonds on ring closure {num} in {text!r}")
                 expr = expr0 or pending
                 nodes[max(prev, other)].extra.append((min(prev, other), _compile_bond(expr)))
                 bonds.append((other, prev, expr))

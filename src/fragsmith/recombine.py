@@ -69,7 +69,7 @@ def _splice(fragments: tuple[Molecule, ...], pairs) -> Molecule:
             a, b = bond.endpoints
             a, b = base + a, base + b
             if a not in dummies and b not in dummies:
-                bonds.append(Bond((index[a], index[b]), bond.order, bond.stereo_annotation))
+                bonds.append(Bond((index[a], index[b]), bond.order))
     bonds.extend(Bond((index[a], index[b]), SINGLE) for a, b in links)
     return Molecule.assembled(tuple(atoms), tuple(bonds))
 
@@ -162,13 +162,13 @@ def pair_by_labels(
 def carbon_cap(f: Molecule) -> Molecule:
     """Replace every dummy atom by a carbon atom in place.
 
-    Bonds are kept; the substituted carbons pick up implicit hydrogens to
-    complete their valence. Fragments without dummies come back unchanged.
+    Bonds are kept; each substituted carbon gets the hydrogen count that
+    completes its valence. Fragments without dummies come back unchanged.
     """
     if not any(a.is_dummy for a in f.atoms):
         return f
     atoms = tuple(
-        Atom(element="C", implicit_h=max(0, 4 - sigma_valence(f, i))) if atom.is_dummy else atom
+        Atom(element="C", h_total=max(0, 4 - sigma_valence(f, i))) if atom.is_dummy else atom
         for i, atom in enumerate(f.atoms)
     )
     return Molecule.assembled(atoms, f.bonds)

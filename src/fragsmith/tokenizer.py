@@ -212,7 +212,6 @@ def build_vocab(group_file: str | Path | None = None) -> Vocab:
 @dataclass(frozen=True)
 class TokenStream:
     tokens: tuple[int, ...]
-    source_kind: str
 
 
 def _encode_component(text: str, v: Vocab) -> list[int]:
@@ -285,7 +284,7 @@ def tokenize(
         ids.append(begin)
         ids.extend(_encode_component(comp, v))
         ids.append(end)
-    return TokenStream(tokens=tuple(ids), source_kind=kind)
+    return TokenStream(tokens=tuple(ids))
 
 
 _BEGIN_SPECIALS = {"<BOF>", "<BOM>"}

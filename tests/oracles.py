@@ -680,7 +680,8 @@ _TWO_LETTER = ("Cl", "Br")
 
 
 def _parse_bracket(body: str, offset: int) -> _WorkAtom:
-    """Parse the inside of a bracket atom: isotope symbol stereo H charge."""
+    """Parse the inside of a bracket atom: isotope symbol chirality H charge;
+    the chirality is read and dropped."""
     i = 0
     n = len(body)
     isotope = None
@@ -713,13 +714,8 @@ def _parse_bracket(body: str, offset: int) -> _WorkAtom:
             sym = cap
         if sym != "H" and sym not in ATOMIC_WEIGHTS:
             raise SmilesError(f"unknown element {sym!r}", offset)
-    stereo = None
-    if i < n and body[i] == "@":
-        j = i
-        while j < n and body[j] == "@":
-            j += 1
-        stereo = body[i:j]
-        i = j
+    while i < n and body[i] == "@":
+        i += 1
     hcount = 0
     if i < n and body[i] == "H":
         i += 1
@@ -757,8 +753,8 @@ def _parse_bracket(body: str, offset: int) -> _WorkAtom:
         raise SmilesError(f"bad bracket atom [{body}]", offset)
 
     atom = _WorkAtom(
-        element=sym, aromatic=aromatic, charge=charge, explicit_h=hcount,
-        isotope=isotope, stereo=stereo, bracket=True,
+        element=sym, aromatic=aromatic, charge=charge, h_total=hcount,
+        isotope=isotope, bracket=True,
     )
     if sym == DUMMY:
         if isotope is not None:
@@ -780,23 +776,22 @@ def parse_smiles_reference(text: str) -> Molecule:
         raise SmilesError("empty SMILES", 0)
 
     atoms: list[_WorkAtom] = []
-    bonds: list[tuple[int, int, int | None, str | None]] = []  # a, b, order, stereo
+    bonds: list[tuple[int, int, int | None]] = []  # a, b, order
     prev: int | None = None
     pending_bond: int | None = None
-    pending_stereo: str | None = None
     branch_stack: list[int | None] = []
-    ring_open: dict[int, tuple[int, int | None, str | None, int]] = {}
+    ring_open: dict[int, tuple[int, int | None, int]] = {}
 
     bond_pairs: set[frozenset[int]] = set()
 
-    def add_bond(a: int, b: int, order: int | None, stereo: str | None, off: int) -> None:
+    def add_bond(a: int, b: int, order: int | None, off: int) -> None:
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", off)
         pair = frozenset((a, b))
         if pair in bond_pairs:
             raise SmilesError("duplicate bond between the same atoms", off)
         bond_pairs.add(pair)
-        bonds.append((a, b, order, stereo))
+        bonds.append((a, b, order))
 
     i = 0
     n = len(text)
@@ -828,8 +823,7 @@ def parse_smiles_reference(text: str) -> Molecule:
             i += 1
             continue
         elif ch in "/\\":
-            pending_stereo = ch
-            i += 1
+            i += 1  # a double-bond stereo mark: read and dropped
             continue
         elif ch == "(":
             if prev is None:
@@ -847,7 +841,6 @@ def parse_smiles_reference(text: str) -> Molecule:
             if pending_bond is not None:
                 raise SmilesError("bond symbol before '.'", i)
             prev = None
-            pending_stereo = None
             i += 1
             continue
         elif ch.isdigit() or ch == "%":
@@ -862,15 +855,14 @@ def parse_smiles_reference(text: str) -> Molecule:
             if prev is None:
                 raise SmilesError("ring closure before any atom", i - 1)
             if num in ring_open:
-                other, order0, stereo0, _ = ring_open.pop(num)
+                other, order0, _ = ring_open.pop(num)
                 order = pending_bond if pending_bond is not None else order0
                 if order0 is not None and pending_bond is not None and order0 != pending_bond:
                     raise SmilesError(f"conflicting orders on ring closure {num}", i - 1)
-                add_bond(other, prev, order, stereo0 or pending_stereo, i - 1)
+                add_bond(other, prev, order, i - 1)
             else:
-                ring_open[num] = (prev, pending_bond, pending_stereo, i - 1)
+                ring_open[num] = (prev, pending_bond, i - 1)
             pending_bond = None
-            pending_stereo = None
             continue
         else:
             raise SmilesError(f"unexpected character {ch!r}", i)
@@ -878,15 +870,14 @@ def parse_smiles_reference(text: str) -> Molecule:
         idx = len(atoms)
         atoms.append(new_atom)
         if prev is not None:
-            add_bond(prev, idx, pending_bond, pending_stereo, i - 1)
+            add_bond(prev, idx, pending_bond, i - 1)
         elif pending_bond is not None:
             raise SmilesError("dangling bond symbol", i - 1)
         pending_bond = None
-        pending_stereo = None
         prev = idx
 
     if ring_open:
-        num, (_, _, _, off) = min(ring_open.items(), key=lambda kv: kv[1][3])
+        num, (_, _, off) = min(ring_open.items(), key=lambda kv: kv[1][2])
         raise SmilesError(f"unmatched ring closure {num}", off)
     if branch_stack:
         raise SmilesError("unmatched '('", n - 1)
@@ -904,12 +895,12 @@ def parse_smiles_reference(text: str) -> Molecule:
 # ``small_rings`` for every parse.
 def assemble_reference(
     work: list[_WorkAtom],
-    raw_bonds: list[tuple[int, int, int | None, str | None]],
+    raw_bonds: list[tuple[int, int, int | None]],
     text: str,
 ) -> Molecule:
     """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
     orders: list[int] = []
-    for a, b, order, _ in raw_bonds:
+    for a, b, order in raw_bonds:
         if order is None:
             order = AROMATIC if (work[a].aromatic and work[b].aromatic) else SINGLE
         orders.append(order)
@@ -920,24 +911,24 @@ def assemble_reference(
         atoms=tuple(Atom(element=w.element, aromatic=w.aromatic) for w in work),
         bonds=tuple(
             Bond(endpoints=(a, b), order=o)
-            for (a, b, _, _), o in zip(raw_bonds, orders)
+            for (a, b, _), o in zip(raw_bonds, orders)
         ),
         source_text=text,
     )
     ring = provisional.ring_bonds
-    for bi, (a, b, order, _) in enumerate(raw_bonds):
+    for bi, (a, b, order) in enumerate(raw_bonds):
         if order is None and orders[bi] == AROMATIC and bi not in ring:
             orders[bi] = SINGLE
 
     adj: list[list[tuple[int, int]]] = [[] for _ in work]
-    for (a, b, _, _), o in zip(raw_bonds, orders):
+    for (a, b, _), o in zip(raw_bonds, orders):
         adj[a].append((b, o))
         adj[b].append((a, o))
 
     for i, w in enumerate(work):
         if w.bracket or w.element == DUMMY:
             continue
-        w.implicit_h = _default_hydrogens(
+        w.h_total = _default_hydrogens(
             w.element, w.aromatic, [o for _, o in adj[i]]
         )
 
@@ -948,17 +939,15 @@ def assemble_reference(
             element=w.element,
             aromatic=w.aromatic,
             formal_charge=w.charge,
-            explicit_h=w.explicit_h,
+            h_total=w.h_total,
             isotope=w.isotope,
             link_label=w.link_label,
-            implicit_h=w.implicit_h,
-            stereo=w.stereo,
         )
         for w in work
     )
     bonds = tuple(
-        Bond(endpoints=(a, b), order=o, stereo_annotation=s)
-        for (a, b, _, s), o in zip(raw_bonds, orders)
+        Bond(endpoints=(a, b), order=o)
+        for (a, b, _), o in zip(raw_bonds, orders)
     )
     mol = Molecule(atoms=atoms, bonds=bonds, source_text=text)
     # Same bonds in the same order: the topology perceived on the
@@ -985,7 +974,7 @@ def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> i
         if el == "B":
             return 0
         # N/P: three sigma partners (bonds + H) means the lone pair is in the ring
-        return 2 if (len(adj[i]) + w.explicit_h + w.implicit_h) >= 3 else 1
+        return 2 if (len(adj[i]) + w.h_total) >= 3 else 1
     if w.charge != 0:
         return _INELIGIBLE
     doubles_in = doubles_out = triples = 0
@@ -1056,7 +1045,7 @@ def _perceive_aromatic(work, raw_bonds, orders, adj, provisional: Molecule) -> N
         for r in ring_group:
             for x in range(len(r)):
                 ring_bond_pairs.add(frozenset((r[x], r[(x + 1) % len(r)])))
-        for bi, (a, b, _, _) in enumerate(raw_bonds):
+        for bi, (a, b, _) in enumerate(raw_bonds):
             if frozenset((a, b)) in ring_bond_pairs and orders[bi] in (SINGLE, DOUBLE):
                 orders[bi] = AROMATIC
         return True

@@ -117,7 +117,8 @@ class TestBuildCommand:
             "--out", str(tmp_path / "d"),
         ]) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
-        assert summary["pairs"] == summary["emitted_pairs"] == 2
+        assert summary["pairs"] == 2
+        assert "emitted_pairs" not in summary
         assert summary["skipped_malformed"] == 1
         assert summary["skipped_empty"] == 1
 

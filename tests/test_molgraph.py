@@ -81,7 +81,7 @@ class TestParse:
         m = parse_smiles("[13CH3+]")
         a = m.atoms[0]
         assert a.isotope == 13
-        assert a.explicit_h == 3
+        assert a.h_total == 3
         assert a.formal_charge == 1
 
     def test_charge_forms(self):
@@ -95,12 +95,21 @@ class TestParse:
         assert m.atoms[3].link_label == 16
         assert m.atoms[0].is_dummy
 
-    def test_stereo_markers_preserved_not_interpreted(self):
-        m = parse_smiles("C/C=C/C")
-        annotations = [b.stereo_annotation for b in m.bonds]
-        assert "/" in annotations
-        m2 = parse_smiles("[C@H](N)(O)C")
-        assert m2.atoms[0].stereo == "@"
+    def test_bracket_and_organic_atoms_hold_one_hydrogen_count(self):
+        assert parse_smiles("[CH4]").atoms == parse_smiles("C").atoms
+
+    def test_double_bond_marks_read_and_dropped(self):
+        marked, plain = parse_smiles("F/C=C\\F"), parse_smiles("FC=CF")
+        assert (marked.atoms, marked.bonds) == (plain.atoms, plain.bonds)
+
+    def test_chirality_read_and_dropped(self):
+        assert parse_smiles("[C@@H](N)(O)C").atoms == parse_smiles("[CH](N)(O)C").atoms
+
+    def test_atom_and_bond_fields(self):
+        assert [f.name for f in dataclasses.fields(Atom)] == [
+            "element", "aromatic", "formal_charge", "h_total", "isotope", "link_label",
+        ]
+        assert [f.name for f in dataclasses.fields(Bond)] == ["endpoints", "order"]
 
     def test_dot_components(self):
         m = parse_smiles("CCO.CCN")
@@ -322,7 +331,7 @@ def _random_cubic_graph(rng: random.Random, n: int) -> Molecule:
         if len(edges) < len(stubs) // 2 or any(a == b for a, b in edges):
             continue
         mol = Molecule(
-            atoms=tuple(Atom(element="C", implicit_h=1) for _ in range(n)),
+            atoms=tuple(Atom(element="C", h_total=1) for _ in range(n)),
             bonds=tuple(Bond(endpoints=e) for e in sorted(edges)),
             source_text="",
         )

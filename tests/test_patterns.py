@@ -162,6 +162,18 @@ def test_ring_closure_onto_its_own_node_rejected(text):
         compile_pattern(text)
 
 
+@pytest.mark.parametrize("text", ["C-1CCC=1", "C=1CCC-1", "C-1CCC-,=1", "C@1CCC!@1"])
+def test_conflicting_ring_closure_bonds_rejected(text):
+    with pytest.raises(PatternError, match="conflicting bonds on ring closure 1"):
+        compile_pattern(text)
+
+
+def test_ring_closure_bond_at_either_or_both_digits():
+    for text in ("C=1CCC=1", "C1CCC=1", "C=1CCC1"):
+        assert has_match(compile_pattern(text), parse_smiles("C1CCC=1")), text
+        assert not has_match(compile_pattern(text), parse_smiles("C1CCC1")), text
+
+
 # Bond expressions share the atoms' operator table: '!' binds tightest,
 # then '&' and juxtaposition, then ',', then ';'.
 def test_and_binds_tighter_than_or_in_bonds():

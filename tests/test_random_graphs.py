@@ -82,16 +82,16 @@ def molecule_graphs(draw):
     for i, (element, lowest) in enumerate(picks):
         isotope = draw(st.sampled_from([None, None, None, 13]))
         atoms.append(
-            Atom(element=element, isotope=isotope, implicit_h=capacity[i])
+            Atom(element=element, isotope=isotope, h_total=capacity[i])
         )
     # occasionally append a dummy atom bonded to atom 0
     if draw(st.booleans()) and capacity and atoms:
         label = draw(st.integers(min_value=1, max_value=16))
         # re-derive atom 0 with one less hydrogen to make room
         a0 = atoms[0]
-        if a0.implicit_h >= 1:
+        if a0.h_total >= 1:
             atoms[0] = Atom(
-                element=a0.element, isotope=a0.isotope, implicit_h=a0.implicit_h - 1
+                element=a0.element, isotope=a0.isotope, h_total=a0.h_total - 1
             )
             atoms.append(Atom(element="*", link_label=label))
             bonds.append([0, len(atoms) - 1, 1])

@@ -233,7 +233,7 @@ class TestDetokenize:
             assert detokenize(ts, vocab) == payload
 
     def test_unknown_id_raises(self, vocab):
-        ts = TokenStream(tokens=(0, 10**6), source_kind=MOLECULE)
+        ts = TokenStream(tokens=(0, 10**6))
         with pytest.raises(UnknownTokenIdError):
             detokenize(ts, vocab)
 
