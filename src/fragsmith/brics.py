@@ -53,7 +53,7 @@ class BricsRule:
     bond_kind: int  # the bond order the pairs are defined over
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BricsBond:
     """A cleavable bond and the link labels of its two sides.
 
@@ -82,7 +82,7 @@ class FragmentParams:
             raise ValueError("alpha must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FragmentSet:
     """Fragments of one parent molecule plus cut provenance.
 

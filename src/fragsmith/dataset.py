@@ -495,7 +495,8 @@ def emit_jsonl(
 
     Records are sorted by id before writing, so emission is byte-stable
     regardless of producer order. Shards hold at most ``shard_size``
-    records. I/O failures clean up partial output and re-raise.
+    records. On an I/O failure every file this call opened, shards and
+    manifest, is removed and the error re-raised.
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
@@ -511,8 +512,8 @@ def emit_jsonl(
             path = out / name
             payload = "".join(rec.to_json() + "\n" for rec in chunk).encode()
             with open(path, "wb") as fh:
+                written.append(path)
                 fh.write(payload)
-            written.append(path)
             shard_infos.append(
                 {
                     "path": name,
@@ -526,6 +527,7 @@ def emit_jsonl(
             config=config_echo or {},
         )
         with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+            written.append(out / "manifest.json")
             fh.write(manifest.to_json() + "\n")
     except OSError:
         for path in written:

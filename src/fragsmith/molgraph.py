@@ -7,11 +7,20 @@ symbol chirality? H-count? charge? class? ``]``: the symbol is ``*``, an
 element (two letters only where the pair names one) or an aromatic
 ``b c n o p s se as``; a charge is ``+``, ``++`` or ``+2`` (likewise
 ``-``); the atom class is read and dropped. Only ASCII ``0``-``9`` count
-as digits. Stereo markers (``/``, ``\\``, ``@``, ``@@``) are read and
-dropped: the graph holds no configuration, so ``F/C=C\\F`` parses to the
-same atoms and bonds as ``FC=CF``. Each atom holds one hydrogen count,
-the bracket's for a bracket atom and the valence model's otherwise, so
-``[CH4]`` and ``C`` parse to equal atoms.
+as digits. Stereo markers (``/``, ``\\``, and a chirality of ``@`` or
+``@@``) are read and dropped: the graph holds no configuration, so
+``F/C=C\\F`` parses to the same atoms and bonds as ``FC=CF``. A ``/`` or
+``\\`` stands only where a bond symbol may, so ``C/``, ``C//C`` and
+``C(/)C`` are refused, as are a bond symbol before ``)`` (``C(C=)C``), an
+empty branch (``C()C``) and an empty dot-separated component (``C..C``).
+
+Each atom holds one hydrogen count, the bracket's for a bracket atom and
+the valence model's otherwise, so ``[CH4]`` and ``C`` parse to equal
+atoms; one parse shares a single :class:`Atom` record among its equal
+atoms. :class:`Atom` and :class:`Bond` are slotted values. A
+:class:`Molecule` computes its topology (adjacency, ring bonds) on first
+read; :func:`validate` reads the bond list instead, and the ring atoms
+only for an aromatic atom.
 
 Kekule-form rings that pass a Huckel electron count are normalized to
 aromatic form at parse time, so alternative serializations of the same
@@ -48,6 +57,9 @@ SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, 4
 
 # SMILES bond symbol -> order.
 BOND_ORDERS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+# What may stand where a bond symbol may: the bond symbols and the ``/``
+# and ``\`` double-bond configuration marks, which set no order.
+_BOND_SYMBOLS = frozenset((*BOND_ORDERS, "/", "\\"))
 # Bond valence in half-units, indexed by order: an aromatic bond counts 1.5.
 _ORDER_VALUE = (0, 2, 4, 6, 3)
 # Integer bond contribution used by the valence check, indexed by order:
@@ -65,9 +77,10 @@ class SmilesError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """One atom of a molecular graph.
+    """One atom of a molecular graph: a frozen, slotted value, which the
+    equal atoms of one parse share.
 
     ``h_total`` is its one hydrogen count: the bracket's count for a
     bracket atom, the valence model's count for an organic-subset atom.
@@ -87,11 +100,11 @@ class Atom:
         return self.element == DUMMY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bond:
-    """Edge between two atom indices. ``order`` is one of the ints
-    ``SINGLE``, ``DOUBLE``, ``TRIPLE`` and ``AROMATIC`` (1 to 4); a ``/``
-    or ``\\`` written on the bond is not kept."""
+    """Edge between two atom indices, a slotted value. ``order`` is one
+    of the ints ``SINGLE``, ``DOUBLE``, ``TRIPLE`` and ``AROMATIC`` (1 to
+    4); a ``/`` or ``\\`` written on the bond is not kept."""
 
     endpoints: tuple[int, int]
     order: int = SINGLE
@@ -337,7 +350,7 @@ _TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9][0-9]|.", re.S)
 # The inside of a bracket atom: isotope, symbol, chirality, hydrogen
 # count, charge and an atom class; the chirality and class are discarded.
 _BRACKET = re.compile(
-    r"([0-9]*)(\*|[A-Z][a-z]?|se|as|[a-z])@*(H[0-9]*)?([+-][0-9]+|\++|-+)?(?::[0-9]+)?"
+    r"([0-9]*)(\*|[A-Z][a-z]?|se|as|[a-z])(?:@@?)?(H[0-9]*)?([+-][0-9]+|\++|-+)?(?::[0-9]+)?"
 )
 
 
@@ -390,8 +403,10 @@ def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into a Molecule.
 
     Raises SmilesError (with byte offset) on syntax problems: unmatched
-    ring closures or brackets, unknown elements, misplaced bonds. Valence
-    problems are not raised here; see :func:`validate`.
+    ring closures or brackets, unknown elements, misplaced bonds, an
+    empty branch or dot-separated component. A ``/`` or ``\\`` mark is
+    placed like a bond symbol but sets no order. Valence problems are not
+    raised here; see :func:`validate`.
     """
     if not text:
         raise SmilesError("empty SMILES", 0)
@@ -399,8 +414,8 @@ def parse_smiles(text: str) -> Molecule:
     atoms: list[_WorkAtom] = []
     bonds: list[tuple[int, int, int | None]] = []  # a, b, order
     prev: int | None = None
-    pending_bond: int | None = None
-    branch_stack: list[int | None] = []
+    pending: str | None = None  # a bond symbol or mark not yet placed
+    branch_stack: list[tuple[int, int]] = []  # (atom branched from, atoms before the branch)
     ring_open: dict[int, tuple[int, int | None, int]] = {}
 
     bond_pairs: set[frozenset[int]] = set()
@@ -426,26 +441,33 @@ def parse_smiles(text: str) -> Molecule:
             if tok == "[":
                 raise SmilesError("unterminated bracket atom", i)
             new_atom = _parse_bracket(tok[1:-1], i)
-        elif tok in BOND_ORDERS:
-            if pending_bond is not None:
+        elif tok in _BOND_SYMBOLS:
+            if pending is not None:
                 raise SmilesError("two bond symbols in a row", i)
-            pending_bond = BOND_ORDERS[tok]
+            pending = tok
             continue
-        elif tok in ("/", "\\"):
-            continue  # a double-bond configuration mark: read and dropped
         elif tok == "(":
             if prev is None:
                 raise SmilesError("branch before any atom", i)
-            branch_stack.append(prev)
+            branch_stack.append((prev, len(atoms)))
             continue
         elif tok == ")":
             if not branch_stack:
                 raise SmilesError("unmatched ')'", i)
-            prev = branch_stack.pop()
+            if pending is not None:
+                raise SmilesError("bond symbol before ')'", i)
+            origin, before = branch_stack.pop()
+            if len(atoms) == before:
+                raise SmilesError("empty branch", i)
+            if prev is None:
+                raise SmilesError("empty component", i)
+            prev = origin
             continue
         elif tok == ".":
-            if pending_bond is not None:
+            if pending is not None:
                 raise SmilesError("bond symbol before '.'", i)
+            if prev is None:
+                raise SmilesError("empty component", i)
             prev = None
             continue
         elif ch in "%0123456789":
@@ -454,15 +476,15 @@ def parse_smiles(text: str) -> Molecule:
             num = int(tok.lstrip("%"))
             if prev is None:
                 raise SmilesError("ring closure before any atom", last)
+            order1 = BOND_ORDERS.get(pending)
             if num in ring_open:
                 other, order0, _ = ring_open.pop(num)
-                order = pending_bond if pending_bond is not None else order0
-                if order0 is not None and pending_bond is not None and order0 != pending_bond:
+                if order0 is not None and order1 is not None and order0 != order1:
                     raise SmilesError(f"conflicting orders on ring closure {num}", last)
-                add_bond(other, prev, order, last)
+                add_bond(other, prev, order0 if order1 is None else order1, last)
             else:
-                ring_open[num] = (prev, pending_bond, last)
-            pending_bond = None
+                ring_open[num] = (prev, order1, last)
+            pending = None
             continue
         else:
             raise SmilesError(f"unexpected character {ch!r}", i)
@@ -470,10 +492,10 @@ def parse_smiles(text: str) -> Molecule:
         idx = len(atoms)
         atoms.append(new_atom)
         if prev is not None:
-            add_bond(prev, idx, pending_bond, last)
-        elif pending_bond is not None:
+            add_bond(prev, idx, BOND_ORDERS.get(pending), last)
+        elif pending is not None:
             raise SmilesError("dangling bond symbol", last)
-        pending_bond = None
+        pending = None
         prev = idx
 
     if ring_open:
@@ -481,10 +503,10 @@ def parse_smiles(text: str) -> Molecule:
         raise SmilesError(f"unmatched ring closure {num}", off)
     if branch_stack:
         raise SmilesError("unmatched '('", last)
-    if pending_bond is not None:
+    if pending is not None:
         raise SmilesError("dangling bond symbol", last)
-    if not atoms:
-        raise SmilesError("no atoms in SMILES", 0)
+    if prev is None:
+        raise SmilesError("empty component", last)
 
     return _assemble(atoms, bonds, text)
 
@@ -513,10 +535,16 @@ def _assemble(
     if _may_aromatize(work, ends, orders, adj, ring):
         _perceive_aromatic(work, ends, orders, adj, _small_rings(neighbors, ring, ends))
 
-    atoms = tuple(Atom(w.element, w.aromatic, w.charge, w.h_total, w.isotope, w.link_label)
-                  for w in work)
+    shared: dict[tuple, Atom] = {}  # equal atoms share one record
+    atoms = []
+    for w in work:
+        key = (w.element, w.aromatic, w.charge, w.h_total, w.isotope, w.link_label)
+        atom = shared.get(key)
+        if atom is None:
+            atom = shared[key] = Atom(*key)
+        atoms.append(atom)
     bonds = tuple(map(Bond, ends, orders))
-    mol = Molecule(atoms, bonds, text)
+    mol = Molecule(tuple(atoms), bonds, text)
     # Same bonds in the same order: the topology found above holds.
     mol.__dict__.update(neighbors=neighbors, ring_bonds=ring)
     return mol
@@ -680,6 +708,7 @@ def validate(m: Molecule) -> ValidityReport:
     when an aromatic bond touches a non-aromatic atom.
     """
     failures: list[tuple[int, str]] = []
+    sigma = sigma_valences(m)
     for i, atom in enumerate(m.atoms):
         if atom.is_dummy:
             continue
@@ -688,7 +717,7 @@ def validate(m: Molecule) -> ValidityReport:
         valences = allowed_valences(atom.element, atom.formal_charge)
         if valences is None:
             continue
-        total = sigma_valence(m, i) + atom.h_total
+        total = sigma[i] + atom.h_total
         if total > max(valences):
             failures.append(
                 (i, f"{atom.element} valence {total} exceeds {max(valences)}")
@@ -701,10 +730,17 @@ def validate(m: Molecule) -> ValidityReport:
     return ValidityReport(valid=not failures, failures=tuple(failures))
 
 
-def sigma_valence(m: Molecule, i: int) -> int:
-    """Valence atom ``i`` spends on its bonds, an aromatic bond taking one
-    sigma slot."""
-    return sum(_SIGMA_VALUE[m.bonds[bi].order] for _, bi in m.neighbors[i])
+def sigma_valences(m: Molecule) -> list[int]:
+    """Valence each atom spends on its bonds, an aromatic bond taking one
+    sigma slot: one pass over the bond list, so ``m``'s adjacency stays
+    unbuilt."""
+    sigma = [0] * len(m.atoms)
+    for bond in m.bonds:
+        a, b = bond.endpoints
+        value = _SIGMA_VALUE[bond.order]
+        sigma[a] += value
+        sigma[b] += value
+    return sigma
 
 
 def molecular_weight(m: Molecule) -> float:

@@ -20,7 +20,7 @@ from .molgraph import (
     Bond,
     Molecule,
     canonical_smiles,
-    sigma_valence,
+    sigma_valences,
     symmetry_classes,
 )
 
@@ -46,15 +46,18 @@ def _splice(fragments: tuple[Molecule, ...], pairs) -> Molecule:
     for pair in pairs:
         ends = []
         for fi, li in pair:
-            bonded = fragments[fi].neighbors[li]
+            # The dummy's partners, read from the bond list so the
+            # fragment's adjacency stays unbuilt.
+            ends_of = (bond.endpoints for bond in fragments[fi].bonds)
+            bonded = [b if a == li else a for a, b in ends_of if li in (a, b)]
             if len(bonded) != 1:
                 raise UnpairedLabelError(
                     f"dummy atom must have exactly one bond, found {len(bonded)}"
                 )
-            if fragments[fi].atoms[bonded[0][0]].is_dummy:
+            if fragments[fi].atoms[bonded[0]].is_dummy:
                 raise UnpairedLabelError("dummy atom bonded to another dummy atom")
             dummies.add(first[fi] + li)
-            ends.append(first[fi] + bonded[0][0])
+            ends.append(first[fi] + bonded[0])
         links.append(ends)
 
     index: list[int] = []  # merged index -> kept index
@@ -167,8 +170,9 @@ def carbon_cap(f: Molecule) -> Molecule:
     """
     if not any(a.is_dummy for a in f.atoms):
         return f
+    sigma = sigma_valences(f)
     atoms = tuple(
-        Atom(element="C", h_total=max(0, 4 - sigma_valence(f, i))) if atom.is_dummy else atom
+        Atom(element="C", h_total=max(0, 4 - sigma[i])) if atom.is_dummy else atom
         for i, atom in enumerate(f.atoms)
     )
     return Molecule.assembled(atoms, f.bonds)

@@ -674,8 +674,11 @@ def sigma_valence_reference(m, i):
 
 
 # The character-scanning SMILES parser as it stood before the lexer was
-# compiled to regular expressions, verbatim but for its name; it hands
-# its atoms and bonds to the package's ``_assemble``.
+# compiled to regular expressions, verbatim but for its name and for
+# refusing the same forms the package parser refuses: chirality other
+# than ``@`` or ``@@``, a ``/`` or ``\`` mark placed where no bond
+# symbol may stand, a bond symbol before ``)``, and an empty branch or
+# component. It hands its atoms and bonds to the package's ``_assemble``.
 _TWO_LETTER = ("Cl", "Br")
 
 
@@ -714,7 +717,9 @@ def _parse_bracket(body: str, offset: int) -> _WorkAtom:
             sym = cap
         if sym != "H" and sym not in ATOMIC_WEIGHTS:
             raise SmilesError(f"unknown element {sym!r}", offset)
-    while i < n and body[i] == "@":
+    if body.startswith("@@", i):
+        i += 2
+    elif i < n and body[i] == "@":
         i += 1
     hcount = 0
     if i < n and body[i] == "H":
@@ -779,7 +784,8 @@ def parse_smiles_reference(text: str) -> Molecule:
     bonds: list[tuple[int, int, int | None]] = []  # a, b, order
     prev: int | None = None
     pending_bond: int | None = None
-    branch_stack: list[int | None] = []
+    marked = False  # a bond symbol or a / or \ mark not yet placed
+    branch_stack: list[tuple[int, int]] = []
     ring_open: dict[int, tuple[int, int | None, int]] = {}
 
     bond_pairs: set[frozenset[int]] = set()
@@ -816,30 +822,37 @@ def parse_smiles_reference(text: str) -> Molecule:
         elif ch == DUMMY:
             new_atom = _WorkAtom(element=DUMMY)
             i += 1
-        elif ch in BOND_ORDERS:
-            if pending_bond is not None:
+        elif ch in BOND_ORDERS or ch in "/\\":
+            if marked:
                 raise SmilesError("two bond symbols in a row", i)
-            pending_bond = BOND_ORDERS[ch]
+            marked = True
+            pending_bond = BOND_ORDERS.get(ch)  # a stereo mark sets no order
             i += 1
-            continue
-        elif ch in "/\\":
-            i += 1  # a double-bond stereo mark: read and dropped
             continue
         elif ch == "(":
             if prev is None:
                 raise SmilesError("branch before any atom", i)
-            branch_stack.append(prev)
+            branch_stack.append((prev, len(atoms)))
             i += 1
             continue
         elif ch == ")":
             if not branch_stack:
                 raise SmilesError("unmatched ')'", i)
-            prev = branch_stack.pop()
+            if marked:
+                raise SmilesError("bond symbol before ')'", i)
+            origin, n_before = branch_stack.pop()
+            if len(atoms) == n_before:
+                raise SmilesError("empty branch", i)
+            if prev is None:
+                raise SmilesError("empty component", i)
+            prev = origin
             i += 1
             continue
         elif ch == ".":
-            if pending_bond is not None:
+            if marked:
                 raise SmilesError("bond symbol before '.'", i)
+            if prev is None:
+                raise SmilesError("empty component", i)
             prev = None
             i += 1
             continue
@@ -863,6 +876,7 @@ def parse_smiles_reference(text: str) -> Molecule:
             else:
                 ring_open[num] = (prev, pending_bond, i - 1)
             pending_bond = None
+            marked = False
             continue
         else:
             raise SmilesError(f"unexpected character {ch!r}", i)
@@ -871,9 +885,10 @@ def parse_smiles_reference(text: str) -> Molecule:
         atoms.append(new_atom)
         if prev is not None:
             add_bond(prev, idx, pending_bond, i - 1)
-        elif pending_bond is not None:
+        elif marked:
             raise SmilesError("dangling bond symbol", i - 1)
         pending_bond = None
+        marked = False
         prev = idx
 
     if ring_open:
@@ -881,10 +896,10 @@ def parse_smiles_reference(text: str) -> Molecule:
         raise SmilesError(f"unmatched ring closure {num}", off)
     if branch_stack:
         raise SmilesError("unmatched '('", n - 1)
-    if pending_bond is not None:
+    if marked:
         raise SmilesError("dangling bond symbol", n - 1)
-    if not atoms:
-        raise SmilesError("no atoms in SMILES", 0)
+    if prev is None:
+        raise SmilesError("empty component", n - 1)
 
     return _assemble(atoms, bonds, text)
 

@@ -1,0 +1,108 @@
+"""scripts/bench_pairs.py: the summary and verdict arithmetic on small
+fake runs, and the refusal to compare trees whose benchmarks differ; no
+benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs_script", _PATH)
+script = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(script)
+
+DIRECTIONS = {"items_per_s": "higher", "peak_rss_mb": "lower"}
+BENCHMARK = {"end_to_end": [
+    {"name": "items_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]}
+
+
+def _runs(parent, change, failed=(0, 0)):
+    """Fake runs of one workload on seed 1: pair k reads ``parent[k]`` and
+    ``change[k]``, each an (items_per_s, peak_rss_mb) pair, over 4 rounds."""
+    runs = []
+    for k, values in enumerate(zip(parent, change)):
+        for side, (rate, rss), fail in zip(script.SIDES, values, failed):
+            runs.append({"seed": 1, "pair": k, "side": side, "rounds": 4, "failed": fail,
+                         "metrics": {"items_per_s": rate, "peak_rss_mb": rss}})
+    return runs
+
+
+def test_quartiles_inclusive_and_single_value():
+    assert script.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert script.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_summary_counts_wins_in_the_better_direction_and_ties_for_neither():
+    parent = [(100, 50), (100, 50), (100, 50), (100, 50)]
+    change = [(110, 40), (100, 50), (90, 41), (120, 60)]
+    s = script.summarize(_runs(parent, change, failed=(4, 8)), DIRECTIONS)
+    assert s["pairs"] == 4
+    assert s["metrics"]["items_per_s"]["change_won"] == 2
+    assert s["metrics"]["peak_rss_mb"]["change_won"] == 2
+    assert s["metrics"]["peak_rss_mb"]["change"] == {"median": 45.5, "q1": 40.75, "q3": 52.5}
+    assert not s["metrics"]["items_per_s"]["every_change_run_better"]
+    assert s["failed_per_round"] == {"parent": [1.0], "change": [2.0]}
+
+
+def test_unpaired_run_is_left_out():
+    runs = _runs([(100, 50)] * 2, [(110, 40)] * 2)
+    s = script.summarize(runs[:-1], DIRECTIONS)
+    assert s["pairs"] == 1
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_parent_iqr():
+    parent = [(100, 50 + k % 3) for k in range(10)]  # quartiles 50 and 51.75
+    change = [(100, 40)] * 9 + [(100, 55)]
+    s = script.summarize(_runs(parent, change), DIRECTIONS)
+    v = script.claim_verdict(s, "peak_rss_mb", "lower")
+    assert (v["change_won"], v["pairs"], v["won_nine_tenths"]) == (9, 10, True)
+    assert v["parent_iqr"] == 1.75 and v["median_gain"] == 11 and v["met"]
+    # Eight wins of ten fall short, whatever the gain.
+    s = script.summarize(_runs(parent, [(100, 40)] * 8 + [(100, 55)] * 2), DIRECTIONS)
+    assert not script.claim_verdict(s, "peak_rss_mb", "lower")["met"]
+    # Ten wins by less than the parent's spread fall short too.
+    s = script.summarize(_runs(parent, [(100, 49.5)] * 10), DIRECTIONS)
+    v = script.claim_verdict(s, "peak_rss_mb", "lower")
+    assert v["won_nine_tenths"] and not v["gain_beyond_iqr"] and not v["met"]
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ([(100, 50)] * 4, [(80, 50)] * 4, "within bound"),  # 20% slower, bound 25%
+    ([(100, 50)] * 4, [(70, 50)] * 4, "worse"),  # 30% slower
+    ([(60, 50), (140, 50), (60, 50), (140, 50)], [(90, 50)] * 4, "unresolved"),
+    ([(60, 50), (140, 50), (60, 50), (140, 50)], [(150, 50)] * 4, "within bound"),
+])
+def test_bound_verdicts(parent, change, verdict):
+    s = script.summarize(_runs(parent, change), DIRECTIONS)
+    assert script.bound_verdict(s, "items_per_s", "higher", 0.25)["verdict"] == verdict
+
+
+def test_verdicts_split_claims_from_bounds():
+    s = script.summarize(_runs([(100, 50)] * 10, [(100, 40)] * 10), DIRECTIONS)
+    v = script.verdicts({"recombine": s}, BENCHMARK, [("peak_rss_mb", "recombine")])
+    assert list(v["claims"]) == ["peak_rss_mb@recombine"] and v["claims"]["peak_rss_mb@recombine"]["met"]
+    assert v["bounds"] == {"items_per_s@recombine": {
+        "bound": 0.25, "worse_by": 0.0, "spread": 0.0, "verdict": "within bound"}}
+
+
+@pytest.mark.parametrize("text", ["peak_rss_mb", "@recombine", "peak_rss_mb@"])
+def test_malformed_claim_is_refused(text):
+    with pytest.raises(Exception, match="METRIC@WORKLOAD"):
+        script.parse_claim(text)
+
+
+def test_benchmark_files_must_match(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "perfbench" / "__pycache__").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("x = 1\n")
+        (root / "BENCHMARK.json").write_text("{}\n")
+    (a / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"\0")
+    assert script.differing_bench_files(a, b) == []
+    (b / "perfbench" / "run.py").write_text("x = 2\n")
+    (b / "perfbench" / "gen.py").write_text("")
+    (b / "BENCHMARK.json").write_text("[]\n")
+    assert script.differing_bench_files(a, b) == ["BENCHMARK.json", "perfbench/gen.py", "perfbench/run.py"]

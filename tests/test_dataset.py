@@ -388,3 +388,34 @@ class TestEmitJsonl:
         monkeypatch.undo()
         leftover = list((tmp_path / "out").glob("*"))
         assert leftover == []
+
+    @pytest.mark.parametrize("name", ["manifest.json", "shard-00001.jsonl"])
+    def test_write_failing_midway_leaves_no_partial_file(self, tmp_path, monkeypatch, name):
+        real_open = builtins.open
+
+        class FailingWriter:
+            """Writes the first 5 bytes or characters, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:5])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        def flaky_open(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            return FailingWriter(fh) if str(path).endswith(name) else fh
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        with pytest.raises(OSError, match="disk full"):
+            emit_jsonl(_sample_records(6), 3, tmp_path / "out")
+        monkeypatch.undo()
+        assert list((tmp_path / "out").glob("*")) == []

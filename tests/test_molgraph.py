@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fragsmith import molgraph
-from fragsmith.brics import cut_bonds, find_brics_bonds
+from fragsmith.brics import BricsBond, cut_bonds, find_brics_bonds
 from fragsmith.elements import DEFAULT_VALENCES, allowed_valences
 from fragsmith.molgraph import (
     AROMATIC,
@@ -105,11 +105,43 @@ class TestParse:
     def test_chirality_read_and_dropped(self):
         assert parse_smiles("[C@@H](N)(O)C").atoms == parse_smiles("[CH](N)(O)C").atoms
 
+    def test_records_are_slotted(self):
+        fs = cut_bonds(parse_smiles("CCO"), [BricsBond(bond_index=1, labels=(1, 2))])
+        for record in (Atom("C"), Bond((0, 1)), fs.cleaved[0], fs):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_equal_atoms_of_one_parse_are_one_record(self):
+        m = parse_smiles("c1ccccc1")
+        assert all(a is m.atoms[0] for a in m.atoms)
+        m = parse_smiles("CC(C)O")
+        assert m.atoms[0] is m.atoms[2]
+        assert len({id(a) for a in m.atoms}) == 3  # CH3, CH, OH
+
     def test_atom_and_bond_fields(self):
         assert [f.name for f in dataclasses.fields(Atom)] == [
             "element", "aromatic", "formal_charge", "h_total", "isotope", "link_label",
         ]
         assert [f.name for f in dataclasses.fields(Bond)] == ["endpoints", "order"]
+
+    @pytest.mark.parametrize("smi, offset", [
+        ("C/", 1), ("/C", 1), ("C/.C", 2), ("C(/)C", 3), ("C//C", 2), ("C=/C", 2),
+        ("[C@@@@@H](F)(Cl)Br", 0), ("[C@@@H]C", 0),
+        ("C(=)C", 3), ("C(C=)C", 4),
+        ("C..C", 2), (".C", 0), ("C.", 1), ("C(C.)C", 4),
+        ("C()C", 2), ("C(.)C", 3),
+    ])
+    def test_refused_forms(self, smi, offset):
+        for parse in (parse_smiles, parse_smiles_reference):
+            with pytest.raises(SmilesError) as exc:
+                parse(smi)
+            assert exc.value.offset == offset, parse.__name__
+
+    @pytest.mark.parametrize("smi, plain", [
+        ("F/C=C\\F", "FC=CF"), ("C(/F)=C\\F", "FC=CF"), ("[C@@H](N)(O)C", "[CH](N)(O)C"),
+        ("C(.C)C", "CC.C"), ("C=(C)C", "C(=C)C"), ("C/1=C/CCCC1", "C1=CCCCC1"),
+    ])
+    def test_marks_and_branches_still_parse(self, smi, plain):
+        assert canonical_smiles(parse_smiles(smi)) == canonical_smiles(parse_smiles(plain))
 
     def test_dot_components(self):
         m = parse_smiles("CCO.CCN")
@@ -388,6 +420,14 @@ def test_lazy_attributes_fill_on_first_read():
         assert vars(fresh)[name] is value is getattr(fresh, name)
         assert value == getattr(m, name)
     assert fresh == m
+
+
+def test_validate_leaves_topology_unset_without_aromatic_atoms():
+    for smi in ("OCCCN1CCOCC1", "C1CC1C(=O)[O-].[Na+]", "[CH5]"):
+        m = parse_smiles(smi)
+        fresh = Molecule(atoms=m.atoms, bonds=m.bonds, source_text=m.source_text)
+        assert validate(fresh) == validate(m)
+        assert not {"neighbors", "ring_bonds", "ring_atoms", "components"} & set(vars(fresh)), smi
 
 
 def test_default_hydrogens_equal_the_string_keyed_rule():

@@ -181,8 +181,8 @@ TOPOLOGY = ("neighbors", "ring_bonds", "ring_atoms", "components")
 
 def _built_molecules(default_params):
     """Each kind of molecule the package builds in code, by name, each
-    from fresh inputs: splicing and capping compute a fragment's
-    neighbors, so a fragment is looked at before anything reads it."""
+    from fresh inputs: pairing by labels computes a fragment's topology,
+    so a fragment is looked at before anything reads it."""
     def cut():
         fs = fragment(parse_smiles("OCCCN1CCOCC1"), default_params)
         assert len(fs.fragments) == 2
@@ -216,3 +216,13 @@ class TestBuiltMolecules:
     def test_keep_no_topology(self, default_params):
         for name, build in _built_molecules(default_params).items():
             assert not set(TOPOLOGY) & set(vars(build())), name
+
+    def test_rejoin_and_cap_leave_fragments_without_topology(self):
+        fs = fragment(parse_smiles("CC(=O)Nc1ccc(OCC(=O)NCCN2CCOCC2)cc1"),
+                      FragmentParams(k=1000, alpha=1.5, seed=0))
+        assert len(fs.fragments) >= 4 and fs.provenance
+        assert canonical_smiles(rejoin(fs)) == fs.parent_canonical
+        for f in fs.fragments:
+            carbon_cap(f)
+        for k, f in enumerate(fs.fragments):
+            assert not set(TOPOLOGY) & set(vars(f)), k
