@@ -3,11 +3,27 @@
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         [--workloads build,eval,recombine] [--seeds 1] [--pairs 10] \\
-        [--claim METRIC@WORKLOAD ...]
+        [--claim METRIC@WORKLOAD ...] \\
+        [--against BENCH_<m>.json [--deliberate KEY ...]]
 
-``REV`` is checked out into a temporary ``git worktree``, removed at exit
-and on error. The script refuses to run when the two trees' ``perfbench/``
-or ``BENCHMARK.json`` differ. For every workload (by default, every one
+Both sides run from sibling temporary directories, removed at exit and on
+error: ``parent/`` holds ``REV``'s files (``git archive``), ``change/`` a
+copy of this working tree's files that git tracks or does not ignore. A
+tree's path alone can move a metric: the same files read ``build`` peak
+RSS about 0.6 MB apart from two directories whose paths differ in length,
+so both sides run from paths of one length. The script refuses to run
+(exit 2) when the two trees' ``perfbench/`` or ``BENCHMARK.json`` differ.
+
+With ``--against``, it first runs ``scripts/fingerprints.py`` in both
+trees. The file written records both sets of fingerprints: the change's
+as ``fingerprints`` (what a later ``--against`` reads), the parent's as
+``parent_fingerprints``. When a key of the change differs from the
+``--against`` file's, or a ``--deliberate`` key does not, it names them
+on standard error, writes the file without running the benchmark, and
+exits 1; a difference named with ``--deliberate KEY`` is listed in the
+file instead.
+
+For every workload (by default, every one
 ``BENCHMARK.json`` lists) and seed it runs ``python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0``, ``T`` being the file's
 ``run_seconds``, in each tree ``--pairs`` times, the side that runs first
@@ -35,13 +51,16 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import io
 import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -156,6 +175,47 @@ def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
+def export(root: Path, rev: str, dest: Path) -> None:
+    """Write the files of commit ``rev`` of the repository at ``root`` into ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+
+
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy the files of the working tree at ``root`` that git tracks or
+    does not ignore into ``dest``."""
+    names = git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        if (root / name).is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
+def tree_fingerprints(tree: Path) -> dict[str, str]:
+    """The digests ``scripts/fingerprints.py`` prints for ``tree``, run in that tree."""
+    cmd = [sys.executable, "scripts/fingerprints.py"]
+    proc = subprocess.run(cmd, cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = " | ".join(proc.stderr.strip().splitlines()[-3:])
+        raise SystemExit(f"scripts/fingerprints.py in {tree} exited {proc.returncode}: {tail}")
+    return json.loads(proc.stdout)
+
+
+def fingerprint_check(change: dict[str, str], recorded: dict[str, str], deliberate: list[str]) -> dict:
+    """The keys of ``change`` whose digest ``recorded`` lacks or disagrees
+    with, those of them named in ``deliberate``, and the faults: a
+    difference not named, or a name that does not differ."""
+    differing = [key for key, digest in change.items() if recorded.get(key) != digest]
+    return {
+        "differing": differing,
+        "deliberate": [key for key in differing if key in deliberate],
+        "undeclared": [key for key in differing if key not in deliberate],
+        "not_differing": [key for key in deliberate if key not in differing],
+    }
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its result line,
     round count and exit status."""
@@ -183,45 +243,63 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1", help="comma-separated benchmark seeds")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", type=parse_claim, action="append", default=[])
+    parser.add_argument("--against", type=Path, help="a BENCH_<n>.json whose fingerprints must hold")
+    parser.add_argument("--deliberate", action="append", default=[], metavar="KEY",
+                        help="a fingerprint key this change alters on purpose")
     args = parser.parse_args(argv)
+    if args.deliberate and args.against is None:
+        parser.error("--deliberate needs --against")
 
-    change = Path(__file__).resolve().parents[1]
-    benchmark = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    root = Path(__file__).resolve().parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
     seeds = [int(s) for s in args.seeds.split(",")]
-    parent_rev = git(change, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent = Path(tmp) / "parent"
-        git(change, "worktree", "add", "--detach", str(parent), parent_rev)
-        try:
-            differ = differing_bench_files(parent, change)
-            if differ:
-                print(f"error: the benchmark differs between {args.parent} and this tree: {', '.join(differ)}",
-                      file=sys.stderr)
-                return 2
-            trees = {"parent": parent, "change": change}
-            runs = []
-            for workload in workloads:
-                for seed in seeds:
-                    for pair in range(args.pairs):
-                        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                        for side in order:
-                            run = run_bench(trees[side], workload, seed, seconds)
-                            runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
-                                         "first": order[0], **run})
-                            print(f"{workload} seed={seed} pair={pair} {side}: {run['metrics']}",
-                                  file=sys.stderr)
-        finally:
-            git(change, "worktree", "remove", "--force", str(parent))
-
-    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    summaries = {w: summarize([r for r in runs if r["workload"] == w], directions) for w in workloads}
-    report = {
+    parent_rev = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    report: dict = {
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "parent_commit": parent_rev,
-        "change": f"working tree at {git(change, 'rev-parse', 'HEAD')}",
+        "change": f"working tree at {git(root, 'rev-parse', 'HEAD')}",
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+        export(root, parent_rev, parent)
+        copy_working_tree(root, change)
+        differ = differing_bench_files(parent, change)
+        if differ:
+            print(f"error: the benchmark differs between {args.parent} and this tree: {', '.join(differ)}",
+                  file=sys.stderr)
+            return 2
+        trees = {"parent": parent, "change": change}
+        if args.against is not None:
+            recorded = json.loads(args.against.read_text(encoding="utf-8"))["fingerprints"]
+            report["fingerprints"] = tree_fingerprints(change)
+            report["parent_fingerprints"] = tree_fingerprints(parent)
+            check = fingerprint_check(report["fingerprints"], recorded, args.deliberate)
+            report["fingerprint_check"] = {"against": args.against.name, **check}
+            if check["undeclared"] or check["not_differing"]:
+                for key in check["undeclared"]:
+                    print(f"error: fingerprint {key} differs from {args.against}", file=sys.stderr)
+                for key in check["not_differing"]:
+                    print(f"error: --deliberate {key} does not differ from {args.against}", file=sys.stderr)
+                args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+                return 1
+        runs = []
+        for workload in workloads:
+            for seed in seeds:
+                for pair in range(args.pairs):
+                    order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                    for side in order:
+                        run = run_bench(trees[side], workload, seed, seconds)
+                        runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
+                                     "first": order[0], **run})
+                        print(f"{workload} seed={seed} pair={pair} {side}: {run['metrics']}",
+                              file=sys.stderr)
+
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    summaries = {w: summarize([r for r in runs if r["workload"] == w], directions) for w in workloads}
+    report.update({
         "commands": [f"python3 perfbench/run.py --workload {w} --seed {s} --seconds {seconds:g} --trace 0"
                      for w in workloads for s in seeds],
         "pairs": args.pairs,
@@ -229,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summaries,
         "verdicts": verdicts(summaries, benchmark, args.claim),
         "runs": runs,
-    }
+    })
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(report["verdicts"], indent=1))
     return 0

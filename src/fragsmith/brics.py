@@ -232,7 +232,7 @@ def find_brics_bonds(m: Molecule, rules: RuleTable | None = None) -> list[BricsB
     out: list[BricsBond] = []
     ring_bonds = m.ring_bonds
     for bi, bond in enumerate(m.bonds):
-        if bond.order != SINGLE or bi in ring_bonds:
+        if bond.order != SINGLE or ring_bonds >> bi & 1:
             continue
         a, b = bond.endpoints
         la_set = labels_of(a)
@@ -293,7 +293,7 @@ def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
     parent = canonical_smiles(m)
     if not chosen:
         return FragmentSet(
-            fragments=(Molecule(atoms=m.atoms, bonds=m.bonds, source_text=parent),),
+            fragments=(Molecule.assembled(m.atoms, m.bonds, parent),),
             parent_canonical=parent,
             cleaved=(),
             provenance=(),

@@ -495,8 +495,12 @@ def emit_jsonl(
 
     Records are sorted by id before writing, so emission is byte-stable
     regardless of producer order. Shards hold at most ``shard_size``
-    records. On an I/O failure every file this call opened, shards and
-    manifest, is removed and the error re-raised.
+    records. Each file is written under a temporary ``.partial-`` name and
+    moved into place only once all are written, the manifest last, after
+    any earlier ``manifest.json`` is removed. So on an I/O failure the
+    temporary files are removed, the error is re-raised, and ``out_dir``
+    holds its earlier dataset untouched or, when moving the files failed,
+    no manifest.
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
@@ -504,16 +508,20 @@ def emit_jsonl(
     out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: r.id)
     shard_infos: list[dict] = []
-    written: list[Path] = []
+    written: list[tuple[Path, Path]] = []  # (temporary, final) path of each file opened
+
+    def write(name: str, data: bytes) -> None:
+        partial = out / f".partial-{name}"
+        with open(partial, "wb") as fh:
+            written.append((partial, out / name))
+            fh.write(data)
+
     try:
         for start in range(0, len(ordered), shard_size):
             chunk = ordered[start : start + shard_size]
             name = f"shard-{len(shard_infos):05d}.jsonl"
-            path = out / name
             payload = "".join(rec.to_json() + "\n" for rec in chunk).encode()
-            with open(path, "wb") as fh:
-                written.append(path)
-                fh.write(payload)
+            write(name, payload)
             shard_infos.append(
                 {
                     "path": name,
@@ -526,13 +534,14 @@ def emit_jsonl(
             total_records=len(ordered),
             config=config_echo or {},
         )
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            written.append(out / "manifest.json")
-            fh.write(manifest.to_json() + "\n")
+        write("manifest.json", (manifest.to_json() + "\n").encode())
+        (out / "manifest.json").unlink(missing_ok=True)
+        for partial, final in written:
+            os.replace(partial, final)
     except OSError:
-        for path in written:
+        for partial, _ in written:
             try:
-                os.unlink(path)
+                os.unlink(partial)
             except OSError:
                 pass
         raise

@@ -19,6 +19,7 @@ from .molgraph import (
     Molecule,
     SmilesError,
     atom_invariant,
+    bit_indices,
     canonical_smiles,
     parse_smiles,
 )
@@ -191,7 +192,7 @@ def _computed_keys(m: Molecule) -> list[bool]:
     sizes = {len(r) for r in rings}
     aro_sizes = {len(r) for r in rings if all(m.atoms[i].aromatic for i in r)}
     ring_bond_count = Counter()
-    for bi in m.ring_bonds:
+    for bi in bit_indices(m.ring_bonds):
         for e in m.bonds[bi].endpoints:
             ring_bond_count[e] += 1
     return [
@@ -223,10 +224,7 @@ def _computed_keys(m: Molecule) -> list[bool]:
         5 in aro_sizes,
         6 in aro_sizes,
         any(c >= 3 for c in ring_bond_count.values()),
-        any(
-            i in m.ring_atoms and m.atoms[i].element in ("N", "O", "S")
-            for i in range(len(m.atoms))
-        ),
+        any(m.atoms[i].element in ("N", "O", "S") for i in bit_indices(m.ring_atoms)),
     ]
 
 

@@ -18,9 +18,13 @@ Each atom holds one hydrogen count, the bracket's for a bracket atom and
 the valence model's otherwise, so ``[CH4]`` and ``C`` parse to equal
 atoms; one parse shares a single :class:`Atom` record among its equal
 atoms. :class:`Atom` and :class:`Bond` are slotted values. A
-:class:`Molecule` computes its topology (adjacency, ring bonds) on first
-read; :func:`validate` reads the bond list instead, and the ring atoms
-only for an aromatic atom.
+:class:`Molecule` computes its topology on first read: the adjacency, and
+the ring bonds and ring atoms as ``int`` bit sets (bit ``i`` set for bond
+or atom ``i`` on a ring; :func:`bit_indices` lists them). Its canonical
+SMILES is read the same way, but a molecule built in code
+(:meth:`Molecule.assembled`) carries it from the start, so
+:func:`canonical_smiles` on it computes nothing. :func:`validate` reads
+the bond list, and the ring atoms only for an aromatic atom.
 
 Kekule-form rings that pass a Huckel electron count are normalized to
 aromatic form at parse time, so alternative serializations of the same
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .elements import (
@@ -112,9 +117,12 @@ class Bond:
 
 class _lazy:
     """A lazily computed attribute: the first read calls the method and
-    stores the value in the instance ``__dict__``, where later reads find
-    it without reaching this descriptor. Unlike ``functools.cached_property``
-    on Python 3.11, it takes no lock."""
+    stores the value on the instance, where later reads find it without
+    reaching this descriptor. Unlike ``functools.cached_property`` on
+    Python 3.11, it takes no lock, and it stores through
+    ``object.__setattr__``, which keeps the values of the instance inline
+    where writing into ``__dict__`` would build a dict (64 bytes more per
+    molecule on CPython 3.11)."""
 
     def __init__(self, method):
         self.method = method
@@ -124,7 +132,8 @@ class _lazy:
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.method(obj)
+        value = self.method(obj)
+        object.__setattr__(obj, self.name, value)
         return value
 
 
@@ -136,18 +145,35 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable attributed molecular graph plus the text it came from."""
+    """Immutable attributed molecular graph plus the text it came from.
+
+    The other attributes are lazy (see :class:`_lazy`): each is computed
+    on first read and kept on the instance."""
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
     source_text: str
 
     @classmethod
-    def assembled(cls, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...]) -> "Molecule":
-        """A molecule built in code, whose ``source_text`` is its canonical
-        SMILES. The text is written from a throw-away twin, so the result
-        holds no topology computed on the way."""
-        return cls(atoms, bonds, canonical_smiles(cls(atoms, bonds, "")))
+    def assembled(
+        cls, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...], canonical: str | None = None
+    ) -> "Molecule":
+        """A molecule built in code, whose ``source_text`` and
+        :attr:`canonical` are its canonical SMILES. A caller that already
+        holds that text for these atoms and bonds passes it as
+        ``canonical``; otherwise it is written from a throw-away twin, so
+        the result holds no topology computed on the way."""
+        if canonical is None:
+            canonical = canonical_smiles(cls(atoms, bonds, ""))
+        mol = cls(atoms, bonds, canonical)
+        object.__setattr__(mol, "canonical", canonical)
+        return mol
+
+    @_lazy
+    def canonical(self) -> str:
+        """The canonical SMILES of the atoms and bonds, written on first
+        read; a molecule from :meth:`assembled` holds it from the start."""
+        return write_smiles(self)
 
     @_lazy
     def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -155,16 +181,20 @@ class Molecule:
         return _adjacency(len(self.atoms), [b.endpoints for b in self.bonds])
 
     @_lazy
-    def ring_bonds(self) -> frozenset[int]:
-        """Indices of bonds that lie on at least one cycle."""
-        return frozenset(range(len(self.bonds))) - _bridges(self.neighbors)
+    def ring_bonds(self) -> int:
+        """Bit set of the bonds on at least one cycle: bit ``i`` is set
+        when bond ``i`` is (read it with ``ring_bonds >> i & 1``)."""
+        return _ring_bits(len(self.bonds), self.neighbors)
 
     @_lazy
-    def ring_atoms(self) -> frozenset[int]:
-        atoms = set()
-        for bi in self.ring_bonds:
-            atoms.update(self.bonds[bi].endpoints)
-        return frozenset(atoms)
+    def ring_atoms(self) -> int:
+        """Bit set of the atoms on at least one cycle, the ends of the
+        :attr:`ring_bonds`."""
+        bits = 0
+        for bi in bit_indices(self.ring_bonds):
+            a, b = self.bonds[bi].endpoints
+            bits |= 1 << a | 1 << b
+        return bits
 
     @_lazy
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -207,7 +237,7 @@ class Molecule:
         read-only."""
         counts = {kind: len(idx) for kind, idx in self.atoms_by_kind.items()}
         atoms = self.atoms
-        for i in self.ring_atoms:
+        for i in bit_indices(self.ring_atoms):
             key = (atoms[i].element, atoms[i].aromatic), "@"
             counts[key] = counts.get(key, 0) + 1
         for b in self.bonds:
@@ -219,6 +249,14 @@ class Molecule:
 
     def degree(self, idx: int) -> int:
         return len(self.neighbors[idx])
+
+
+def bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def atom_invariant(m: Molecule, i: int) -> tuple[int, ...]:
@@ -259,12 +297,13 @@ def connected_components(
     return tuple(comps)
 
 
-def _small_rings(neighbors, ring_bonds: frozenset[int], ends) -> tuple[tuple[int, ...], ...]:
-    """:attr:`Molecule.small_rings` from the adjacency, ring bonds and bond endpoints."""
-    ring_adj = [[nb for nb in nbrs if nb[1] in ring_bonds] for nbrs in neighbors]
+def _small_rings(neighbors, ring_bonds: int, ends) -> tuple[tuple[int, ...], ...]:
+    """:attr:`Molecule.small_rings` from the adjacency, the ring-bond bit
+    set and the bond endpoints."""
+    ring_adj = [[nb for nb in nbrs if ring_bonds >> nb[1] & 1] for nbrs in neighbors]
     rings: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
-    for bi in sorted(ring_bonds):
+    for bi in bit_indices(ring_bonds):
         src, dst = ends[bi]
         prev = {src: -1}
         frontier = [src]
@@ -299,12 +338,14 @@ def _adjacency(n: int, ends) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, adj))
 
 
-def _bridges(nbrs) -> set[int]:
-    """Bonds whose removal disconnects the graph of adjacency ``nbrs`` (iterative DFS)."""
+def _ring_bits(n_bonds: int, nbrs) -> int:
+    """Bit set of the ``n_bonds`` bonds of adjacency ``nbrs`` that lie on
+    a cycle: every bond but the bridges, those whose removal disconnects
+    the graph (iterative DFS)."""
     n = len(nbrs)
     disc = [-1] * n
     low = [0] * n
-    bridges: set[int] = set()
+    bridges = 0
     timer = 0
     for root in range(n):
         if disc[root] != -1:
@@ -331,8 +372,8 @@ def _bridges(nbrs) -> set[int]:
                     if low[node] < low[pnode]:
                         low[pnode] = low[node]
                     if low[node] > disc[pnode]:
-                        bridges.add(parent_bond)
-    return bridges
+                        bridges |= 1 << parent_bond
+    return (1 << n_bonds) - 1 ^ bridges
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +560,12 @@ def _assemble(
     """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
     ends = [(a, b) for a, b, _ in raw_bonds]
     neighbors = _adjacency(len(work), ends)
-    ring = frozenset(range(len(ends))) - _bridges(neighbors)
+    ring = _ring_bits(len(ends), neighbors)
     orders: list[int] = []
     for bi, (a, b, order) in enumerate(raw_bonds):
         if order is None:
             # Aromatic on a ring only: biphenyl's inter-ring bond is single.
-            order = AROMATIC if work[a].aromatic and work[b].aromatic and bi in ring else SINGLE
+            order = AROMATIC if work[a].aromatic and work[b].aromatic and ring >> bi & 1 else SINGLE
         orders.append(order)
 
     adj = [[(j, orders[bi]) for j, bi in nbrs] for nbrs in neighbors]
@@ -546,7 +587,8 @@ def _assemble(
     bonds = tuple(map(Bond, ends, orders))
     mol = Molecule(tuple(atoms), bonds, text)
     # Same bonds in the same order: the topology found above holds.
-    mol.__dict__.update(neighbors=neighbors, ring_bonds=ring)
+    object.__setattr__(mol, "neighbors", neighbors)
+    object.__setattr__(mol, "ring_bonds", ring)
     return mol
 
 
@@ -620,17 +662,18 @@ def _pi_contribution(i: int, work: list[_WorkAtom], adj, cluster: set[int]) -> i
     return 0 if el == "B" else 2  # N P O S lone pair (a carbon has a double bond)
 
 
-def _may_aromatize(work, ends, orders, adj, ring: frozenset[int]) -> bool:
+def _may_aromatize(work, ends, orders, adj, ring: int) -> bool:
     """Whether :func:`_perceive_aromatic` can change anything. Each ring
     it aromatizes avoids the :func:`_never_pi` atoms, which it never
-    changes, so it cannot when the ring bonds between the other atoms
-    close no cycle (a union-find pass) or are all aromatic between
-    aromatic atoms."""
-    ring_atoms = {x for bi in ring for x in ends[bi]}
-    eligible = {x for x in ring_atoms if not _never_pi(work[x], adj[x])}
+    changes, so it cannot when the ring bonds (the bit set ``ring``)
+    between the other atoms close no cycle (a union-find pass) or are all
+    aromatic between aromatic atoms."""
+    ring_bonds = list(bit_indices(ring))
+    eligible = {x for bi in ring_bonds for x in ends[bi]}
+    eligible = {x for x in eligible if not _never_pi(work[x], adj[x])}
     root = list(range(len(work)))
     cycle = kekule = False
-    for bi in ring:
+    for bi in ring_bonds:
         a, b = ends[bi]
         if a not in eligible or b not in eligible:
             continue
@@ -712,7 +755,7 @@ def validate(m: Molecule) -> ValidityReport:
     for i, atom in enumerate(m.atoms):
         if atom.is_dummy:
             continue
-        if atom.aromatic and i not in m.ring_atoms:
+        if atom.aromatic and not m.ring_atoms >> i & 1:
             failures.append((i, "aromatic atom outside any ring"))
         valences = allowed_valences(atom.element, atom.formal_charge)
         if valences is None:
@@ -783,7 +826,7 @@ def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) ->
     # The invariants are tuples of one length, so (invariant, orders, in a
     # ring) sorts as the flat tuple of their fields does.
     keyed = sorted([
-        ((atom_invariant(m, i), sorted([bond_rank[bi] for _, bi in nbrs[i]]), i in ring_atoms), k)
+        ((atom_invariant(m, i), sorted([bond_rank[bi] for _, bi in nbrs[i]]), ring_atoms >> i & 1), k)
         for k, i in enumerate(comp)
     ])
     cells: dict[int, list[int]] = {}  # start position -> members
@@ -885,10 +928,11 @@ def _bond_token(m: Molecule, bi: int) -> str:
         return "#"
     a, b = bond.endpoints
     both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
+    in_ring = both_aromatic and m.ring_bonds >> bi & 1
     if bond.order == SINGLE:
-        return "-" if both_aromatic and bi in m.ring_bonds else ""
+        return "-" if in_ring else ""
     # Outside a ring an unmarked bond re-parses as single (biphenyl).
-    return "" if both_aromatic and bi in m.ring_bonds else ":"
+    return "" if in_ring else ":"
 
 
 def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) -> str:
@@ -983,9 +1027,11 @@ def canonical_smiles(m: Molecule) -> str:
     """Deterministic canonical serialization of the molecular graph.
 
     Isomorphic attributed graphs give byte-identical output; the output
-    re-parses to an isomorphic graph.
+    re-parses to an isomorphic graph. The text is ``m``'s
+    :attr:`Molecule.canonical`, which a molecule built in code already
+    holds, so reading it there writes nothing and caches no topology.
     """
-    return write_smiles(m)
+    return m.canonical
 
 
 def randomized_smiles(m: Molecule, seed: int) -> str:

@@ -100,7 +100,7 @@ def _bond_single_or_aromatic(m: Molecule, bi: int) -> bool:
 _BOND_PRIMS: dict[str, BondTest] = {
     **{ch: _bond_order_test(order) for ch, order in BOND_ORDERS.items()},
     "~": lambda m, bi: True,
-    "@": lambda m, bi: bi in m.ring_bonds,
+    "@": lambda m, bi: m.ring_bonds >> bi & 1 == 1,
 }
 
 
@@ -128,8 +128,8 @@ _FIXED_PRIMS: dict[str, AtomTest] = {
     "*": lambda m, idx: True,
     "a": lambda m, idx: m.atoms[idx].aromatic,
     "A": lambda m, idx: not m.atoms[idx].aromatic,
-    "R": lambda m, idx: idx in m.ring_atoms,
-    "R0": lambda m, idx: idx not in m.ring_atoms,
+    "R": lambda m, idx: m.ring_atoms >> idx & 1 == 1,
+    "R0": lambda m, idx: m.ring_atoms >> idx & 1 == 0,
 }
 # One atom primitive: a fixed one; #n, Dn or Hn; a charge; the start of a
 # recursive $(...); an element symbol (a two-letter one is checked

@@ -46,6 +46,7 @@ from fragsmith.molgraph import (
     _assemble,
     _default_hydrogens,
     _WorkAtom,
+    bit_indices,
 )
 
 
@@ -185,7 +186,7 @@ def brics_bonds_full_scan(mol, rules):
     )
     out = []
     for bi, bond in enumerate(mol.bonds):
-        if bond.order != SINGLE or bi in mol.ring_bonds:
+        if bond.order != SINGLE or mol.ring_bonds >> bi & 1:
             continue
         a, b = bond.endpoints
         for la, lb in pairs:
@@ -219,7 +220,7 @@ def _initial_invariants(m, comp):
             a.h_total,
             len(m.neighbors[i]),
             orders,
-            i in m.ring_atoms,
+            m.ring_atoms >> i & 1 == 1,
         )
     return inv
 
@@ -314,7 +315,7 @@ def tokenize_longest_match(text, vocab, begin, end):
 def small_rings_reference(m):
     rings = []
     seen = set()
-    for bi in sorted(m.ring_bonds):
+    for bi in bit_indices(m.ring_bonds):
         a, b = m.bonds[bi].endpoints
         path = _shortest_path(m, a, b, skip_bond=bi, limit=7)
         if path is None:
@@ -393,7 +394,7 @@ def _bond_token(m, bi):
     a, b = bond.endpoints
     if bond.order == SINGLE:
         both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
-        if both_aromatic and bi in m.ring_bonds:
+        if both_aromatic and m.ring_bonds >> bi & 1:
             return "-"
         return ""
     if bond.order == AROMATIC:
@@ -632,7 +633,7 @@ def bond_expr_reference(expr: str, m, bi: int) -> bool:
         if ch == "~":
             return True
         if ch == "@":
-            return bi in m.ring_bonds
+            return m.ring_bonds >> bi & 1 == 1
         return m.bonds[bi].order == _BOND_ORDER_OF[ch]
 
     def run(text: str) -> bool:
@@ -932,7 +933,7 @@ def assemble_reference(
     )
     ring = provisional.ring_bonds
     for bi, (a, b, order) in enumerate(raw_bonds):
-        if order is None and orders[bi] == AROMATIC and bi not in ring:
+        if order is None and orders[bi] == AROMATIC and not ring >> bi & 1:
             orders[bi] = SINGLE
 
     adj: list[list[tuple[int, int]]] = [[] for _ in work]

@@ -1,8 +1,12 @@
 """scripts/bench_pairs.py: the summary and verdict arithmetic on small
-fake runs, and the refusal to compare trees whose benchmarks differ; no
-benchmark runs."""
+fake runs, the refusal to compare trees whose benchmarks differ, and the
+fingerprint check, run end to end in a fake repository whose benchmark
+and fingerprint scripts print fixed lines; no benchmark runs."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,81 @@ def test_benchmark_files_must_match(tmp_path):
     (b / "perfbench" / "gen.py").write_text("")
     (b / "BENCHMARK.json").write_text("[]\n")
     assert script.differing_bench_files(a, b) == ["BENCHMARK.json", "perfbench/gen.py", "perfbench/run.py"]
+
+
+def test_fingerprint_check_lists_deliberate_and_flags_the_rest():
+    change = {"lib": "1", "ds": "2", "eval": "3"}
+    recorded = {"note": "text", "lib": "1", "ds": "9"}  # "eval" not recorded
+    check = script.fingerprint_check(change, recorded, ["ds", "lib"])
+    assert check == {"differing": ["ds", "eval"], "deliberate": ["ds"],
+                     "undeclared": ["eval"], "not_differing": ["lib"]}
+    assert script.fingerprint_check(change, {**recorded, "ds": "2", "eval": "3"}, []) == {
+        "differing": [], "deliberate": [], "undeclared": [], "not_differing": []}
+
+
+_FAKE_RUN = """\
+import json
+print("# w rounds=2")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"items_per_s": {"value": 10.0, "unit": "1/s"}}}))
+"""
+_FAKE_FINGERPRINTS = """\
+import json
+print(json.dumps({"lib": "1", "ds": open("ds.txt").read()}))
+"""
+
+
+def _fake_repo(root):
+    """A git repository holding bench_pairs.py, a fake benchmark and a
+    fake fingerprint script whose ``ds`` digest is the text of ``ds.txt``:
+    "old" at HEAD, "new" in the working tree."""
+    files = {
+        "BENCHMARK.json": json.dumps({"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [
+            {"name": "items_per_s", "better": "higher", "bound": 0.25}]}),
+        "perfbench/run.py": _FAKE_RUN,
+        "scripts/fingerprints.py": _FAKE_FINGERPRINTS,
+        "scripts/bench_pairs.py": _PATH.read_text(),
+        "ds.txt": "old",
+        "against.json": json.dumps({"fingerprints": {"lib": "1", "ds": "old"}}),
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "fake"]):
+        subprocess.run([*git, *args], cwd=root, check=True, capture_output=True)
+    (root / "ds.txt").write_text("new")
+
+
+@pytest.mark.parametrize("deliberate, status", [([], 1), (["ds"], 0), (["ds", "lib"], 1)])
+def test_against_records_both_trees_and_refuses_undeclared_changes(tmp_path, deliberate, status):
+    _fake_repo(tmp_path)
+    flags = [arg for key in deliberate for arg in ("--deliberate", key)]
+    proc = subprocess.run(
+        [sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD", "--out", "out.json",
+         "--pairs", "1", "--against", "against.json", *flags],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == status, proc.stderr
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["fingerprints"] == {"lib": "1", "ds": "new"}
+    assert report["parent_fingerprints"] == {"lib": "1", "ds": "old"}
+    assert report["fingerprint_check"]["against"] == "against.json"
+    assert report["fingerprint_check"]["deliberate"] == (["ds"] if deliberate else [])
+    # The pairs run only when every difference is declared.
+    assert len(report.get("runs", [])) == (2 if status == 0 else 0)
+
+
+def test_change_copy_holds_the_working_tree_without_ignored_files(tmp_path):
+    root, dest = tmp_path / "repo", tmp_path / "copy"
+    root.mkdir()
+    _fake_repo(root)
+    (root / ".gitignore").write_text("ignored.txt\n")
+    (root / "ignored.txt").write_text("x")
+    (root / "untracked.txt").write_text("y")
+    (root / "against.json").unlink()
+    script.copy_working_tree(root, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "BENCHMARK.json", "ds.txt", "perfbench/run.py",
+                      "scripts/bench_pairs.py", "scripts/fingerprints.py", "untracked.txt"]
+    assert (dest / "ds.txt").read_text() == "new"

@@ -79,7 +79,7 @@ class TestFindBricsBonds:
         a, b = m.bonds[bb.bond_index].endpoints
         elements = {m.atoms[a].element, m.atoms[b].element}
         assert elements == {"C", "N"}
-        assert bb.bond_index not in m.ring_bonds
+        assert not m.ring_bonds >> bb.bond_index & 1
         assert sorted(bb.labels) == [4, 5]
 
     def test_methane_empty(self):
@@ -136,7 +136,7 @@ class TestFindBricsBonds:
         for smi in corpus_lines[:30]:
             m = parse_smiles(smi)
             for bb in find_brics_bonds(m):
-                assert bb.bond_index not in m.ring_bonds
+                assert not m.ring_bonds >> bb.bond_index & 1
                 assert m.bonds[bb.bond_index].order == SINGLE
 
 

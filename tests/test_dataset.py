@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fragsmith import dataset as dataset_module
 from fragsmith.brics import FragmentParams, fragment
 from fragsmith.dataset import (
     _TASK_SLOTS,
@@ -388,6 +389,40 @@ class TestEmitJsonl:
         monkeypatch.undo()
         leftover = list((tmp_path / "out").glob("*"))
         assert leftover == []
+
+    def test_failed_emit_keeps_the_earlier_dataset(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        emit_jsonl(_sample_records(6), 3, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_open = builtins.open
+
+        def flaky_open(path, mode="r", **kwargs):
+            if str(path).endswith("shard-00001.jsonl"):
+                raise OSError("disk full")
+            return real_open(path, mode, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        with pytest.raises(OSError, match="disk full"):
+            emit_jsonl(_sample_records(4), 2, out)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [r.id for r in read_dataset(out)] == [r.id for r in _sample_records(6)]
+
+    def test_failed_move_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        emit_jsonl(_sample_records(6), 3, out)
+        real_replace = dataset_module.os.replace
+
+        def flaky_replace(src, dst):
+            if str(dst).endswith("shard-00001.jsonl"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(dataset_module.os, "replace", flaky_replace)
+        with pytest.raises(OSError, match="disk full"):
+            emit_jsonl(_sample_records(4), 2, out)
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.iterdir()) == ["shard-00000.jsonl", "shard-00001.jsonl"]
 
     @pytest.mark.parametrize("name", ["manifest.json", "shard-00001.jsonl"])
     def test_write_failing_midway_leaves_no_partial_file(self, tmp_path, monkeypatch, name):

@@ -21,6 +21,7 @@ from fragsmith.molgraph import (
     _assemble,
     _component_ranks,
     _default_hydrogens,
+    bit_indices,
     canonical_smiles,
     molecular_weight,
     parse_smiles,
@@ -50,7 +51,7 @@ class TestParse:
         m = parse_smiles("OCCCN1CCOCC1")
         assert len(m.atoms) == 10
         assert len(m.bonds) == 10
-        ring = m.ring_atoms
+        ring = list(bit_indices(m.ring_atoms))
         assert len(ring) == 6
         ring_elements = sorted(m.atoms[i].element for i in ring)
         assert ring_elements == ["C", "C", "C", "C", "N", "O"]
@@ -155,7 +156,7 @@ class TestParse:
 
     def test_percent_ring_closure(self):
         m = parse_smiles("C%10CCCCC%10")
-        assert len(m.ring_atoms) == 6
+        assert m.ring_atoms.bit_count() == 6
 
     @pytest.mark.parametrize("smi, element", [("c1cc[se]c1", "Se"), ("c1cc[as]c1", "As")])
     def test_aromatic_two_letter_bracket_symbols(self, smi, element):
@@ -224,7 +225,7 @@ def test_aromatic_bond_outside_rings_is_not_biphenyl():
     for smi, order in (("c1ccccc1:c1ccccc1", AROMATIC), ("c1ccccc1-c1ccccc1", SINGLE)):
         for text in (smi, canonical_smiles(parse_smiles(smi))):
             m = parse_smiles(text)
-            assert [b.order for bi, b in enumerate(m.bonds) if bi not in m.ring_bonds] == [order]
+            assert [b.order for bi, b in enumerate(m.bonds) if not m.ring_bonds >> bi & 1] == [order]
         canon[order] = canonical_smiles(m)
         assert canon[order] == text
     assert canon[AROMATIC] != canon[SINGLE]
@@ -396,6 +397,45 @@ class TestRankingEqualsReference:
     @given(molecule_graphs())
     def test_random_graphs(self, mol):
         _assert_ranks_equal_reference(mol)
+
+
+@st.composite
+def _plain_graphs(draw):
+    """Carbon atoms joined by random single bonds: rings, bridges, isolated
+    atoms and several components, with no chemistry constraint."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    ends = dict.fromkeys(tuple(sorted(p)) for p in pairs if p[0] != p[1])
+    return Molecule(tuple(Atom("C") for _ in range(n)), tuple(map(Bond, ends)), "")
+
+
+def _joined_without(ends, skip: int) -> bool:
+    """Whether bond ``skip``'s two ends stay connected once it is removed
+    (breadth-first search over the other bonds)."""
+    start, goal = ends[skip]
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for bi, (a, b) in enumerate(ends):
+                if bi != skip and node in (a, b):
+                    other = b if node == a else a
+                    if other not in seen:
+                        seen.add(other)
+                        nxt.append(other)
+        frontier = nxt
+    return goal in seen
+
+
+@given(_plain_graphs())
+def test_ring_bits_are_the_bonds_on_a_cycle(m):
+    """Bit i of ``ring_bonds`` is set exactly when bond i's ends stay
+    connected without it; ``ring_atoms`` holds exactly those bonds' ends."""
+    ends = [b.endpoints for b in m.bonds]
+    on_cycle = [bi for bi in range(len(ends)) if _joined_without(ends, bi)]
+    assert m.ring_bonds == sum(1 << bi for bi in on_cycle)
+    assert m.ring_atoms == sum(1 << i for i in {x for bi in on_cycle for x in ends[bi]})
+    assert list(bit_indices(m.ring_bonds)) == on_cycle
 
 
 def test_parsed_topology_equals_fresh_perception(corpus_lines):
@@ -631,8 +671,8 @@ class TestAssemblyEqualsReference:
                                  "C1=CC=C2C=CC=CC2=C1", "C1=COC=C1", "C1=CNC=C1"])
 def test_gate_lets_aromatizable_rings_through(smi):
     m = _assert_assembly_equals_reference(smi)
-    assert all(m.atoms[i].aromatic for i in m.ring_atoms)
-    assert all(m.bonds[bi].order == AROMATIC for bi in m.ring_bonds)
+    assert all(m.atoms[i].aromatic for i in bit_indices(m.ring_atoms))
+    assert all(m.bonds[bi].order == AROMATIC for bi in bit_indices(m.ring_bonds))
 
 
 def test_parse_leaves_small_rings_lazy():

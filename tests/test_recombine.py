@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fragsmith.brics import FragmentParams, FragmentSet, fragment, load_rules
-from fragsmith.molgraph import canonical_smiles, parse_smiles, validate
+from fragsmith.molgraph import Molecule, canonical_smiles, parse_smiles, validate, write_smiles
 from fragsmith.recombine import (
     AmbiguousRejoinError,
     UnpairedLabelError,
@@ -200,6 +200,7 @@ def _built_molecules(default_params):
         "fragment 0": lambda: cut().fragments[0],
         "fragment 1": lambda: cut().fragments[1],
         "uncut fragment": lambda: fragment(parse_smiles("C"), default_params).fragments[0],
+        "uncut ring": lambda: fragment(parse_smiles("c1ccccc1"), default_params).fragments[0],
         "rejoin with provenance": lambda: rejoin(cut()),
         "rejoin by labels": lambda: rejoin(labelled()),
         "capped 0": lambda: carbon_cap(cut().fragments[0]),
@@ -216,6 +217,13 @@ class TestBuiltMolecules:
     def test_keep_no_topology(self, default_params):
         for name, build in _built_molecules(default_params).items():
             assert not set(TOPOLOGY) & set(vars(build())), name
+
+    def test_canonical_smiles_reads_the_carried_text(self, default_params):
+        for name, build in _built_molecules(default_params).items():
+            m = build()
+            text = canonical_smiles(m)
+            assert not set(TOPOLOGY) & set(vars(m)), name
+            assert text == write_smiles(Molecule(m.atoms, m.bonds, "")), name
 
     def test_rejoin_and_cap_leave_fragments_without_topology(self):
         fs = fragment(parse_smiles("CC(=O)Nc1ccc(OCC(=O)NCCN2CCOCC2)cc1"),
