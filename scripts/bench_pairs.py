@@ -3,7 +3,7 @@
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         [--workloads build,eval,recombine] [--seeds 1] [--pairs 10] \\
-        [--claim METRIC@WORKLOAD ...] \\
+        [--claim METRIC@WORKLOAD ...] [--trace] \\
         [--against BENCH_<m>.json [--deliberate KEY ...]]
 
 Both sides run from sibling temporary directories, removed at exit and on
@@ -28,7 +28,12 @@ For every workload (by default, every one
 --workload W --seed S --seconds T --trace 0``, ``T`` being the file's
 ``run_seconds``, in each tree ``--pairs`` times, the side that runs first
 alternating from pair to pair, and reads only the command's standard
-output.
+output. With ``--trace`` it then runs every workload's ``--trace 1``
+benchmark, on the first seed only, in ``--pairs`` alternating pairs the
+same way, and records each per-layer metric's median and quartiles per
+side as ``trace_summary`` (the per-layer metrics and their better
+directions are those ``BENCHMARK.json`` lists); these spans show where
+the time goes and carry no verdict.
 
 The JSON file written holds the machine, the commands, every run and,
 per workload: each metric's median and quartiles on each side
@@ -216,11 +221,11 @@ def fingerprint_check(change: dict[str, str], recorded: dict[str, str], delibera
     }
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``: its result line,
-    round count and exit status."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py --trace TRACE`` run in ``tree``: its result
+    line, round count and exit status."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -235,6 +240,25 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def run_pairs(trees: dict[str, Path], workloads: list[str], seeds: list[int], pairs: int,
+              seconds: float, trace: int) -> list[dict]:
+    """``pairs`` alternating pairs of :func:`run_bench` runs for every
+    workload and seed, the side that runs first alternating from pair to
+    pair."""
+    runs = []
+    for workload in workloads:
+        for seed in seeds:
+            for pair in range(pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_bench(trees[side], workload, seed, seconds, trace)
+                    runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
+                                 "first": order[0], **run})
+                    print(f"{workload} seed={seed} trace={trace} pair={pair} {side}: {run['metrics']}",
+                          file=sys.stderr)
+    return runs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the git revision to compare with")
@@ -243,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1", help="comma-separated benchmark seeds")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", type=parse_claim, action="append", default=[])
+    parser.add_argument("--trace", action="store_true",
+                        help="also run the per-layer (--trace 1) benchmark in pairs, on the first seed")
     parser.add_argument("--against", type=Path, help="a BENCH_<n>.json whose fingerprints must hold")
     parser.add_argument("--deliberate", action="append", default=[], metavar="KEY",
                         help="a fingerprint key this change alters on purpose")
@@ -285,23 +311,21 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"error: --deliberate {key} does not differ from {args.against}", file=sys.stderr)
                 args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
                 return 1
-        runs = []
-        for workload in workloads:
-            for seed in seeds:
-                for pair in range(args.pairs):
-                    order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                    for side in order:
-                        run = run_bench(trees[side], workload, seed, seconds)
-                        runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
-                                     "first": order[0], **run})
-                        print(f"{workload} seed={seed} pair={pair} {side}: {run['metrics']}",
-                              file=sys.stderr)
+        runs = run_pairs(trees, workloads, seeds, args.pairs, seconds, trace=0)
+        trace_runs = run_pairs(trees, workloads, seeds[:1], args.pairs, seconds, trace=1) if args.trace else []
 
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     summaries = {w: summarize([r for r in runs if r["workload"] == w], directions) for w in workloads}
+    commands = [(w, s, 0) for w in workloads for s in seeds]
+    if args.trace:
+        layer_directions = {m["name"]: m["better"] for m in benchmark["per_layer"]}
+        report["trace_summary"] = {w: summarize([r for r in trace_runs if r["workload"] == w], layer_directions)
+                                   for w in workloads}
+        report["trace_runs"] = trace_runs
+        commands += [(w, seeds[0], 1) for w in workloads]
     report.update({
-        "commands": [f"python3 perfbench/run.py --workload {w} --seed {s} --seconds {seconds:g} --trace 0"
-                     for w in workloads for s in seeds],
+        "commands": [f"python3 perfbench/run.py --workload {w} --seed {s} --seconds {seconds:g} --trace {t}"
+                     for w, s, t in commands],
         "pairs": args.pairs,
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "summary": summaries,

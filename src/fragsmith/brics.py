@@ -1,6 +1,6 @@
 """Retrosynthetic bond detection and adaptive fragmentation.
 
-Cleavable bonds are single acyclic bonds whose endpoints match a
+Cleavable bonds are single acyclic bonds whose two end atoms match a
 permitted pair of link environments from the shipped rule table
 (``data/brics_rules.txt``). Fragmentation caps the fragment count by the
 adaptive limit computed from the SMILES length, the library's average
@@ -57,8 +57,8 @@ class BricsRule:
 class BricsBond:
     """A cleavable bond and the link labels of its two sides.
 
-    ``labels`` is oriented like ``Molecule.bonds[bond_index].endpoints``:
-    labels[0] classifies endpoints[0].
+    ``labels`` is oriented like ``bond = Molecule.bonds[bond_index]``:
+    labels[0] classifies ``bond.a`` and labels[1] ``bond.b``.
     """
 
     bond_index: int
@@ -208,7 +208,7 @@ def find_brics_bonds(m: Molecule, rules: RuleTable | None = None) -> list[BricsB
 
     A bond qualifies when it is single, acyclic, and its endpoint
     environments form a permitted pair. When several pairs apply, the
-    lowest (label, partner) pair in the table wins. Only the endpoints of
+    lowest (label, partner) pair in the table wins. Only the end atoms of
     single acyclic bonds are labelled, each once and only against the
     rules that can match it: those whose pattern root is pinned to the
     atom's (element, aromatic) kind or not pinned at all, and whose label
@@ -234,7 +234,7 @@ def find_brics_bonds(m: Molecule, rules: RuleTable | None = None) -> list[BricsB
     for bi, bond in enumerate(m.bonds):
         if bond.order != SINGLE or ring_bonds >> bi & 1:
             continue
-        a, b = bond.endpoints
+        a, b = bond.a, bond.b
         la_set = labels_of(a)
         if not la_set:
             continue
@@ -313,20 +313,17 @@ def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
     for bi, bond in enumerate(m.bonds):
         if bi in cut_ids:
             continue
-        a, b = bond.endpoints
-        frag_bonds[comp_of[a]].append(Bond((local_idx[a], local_idx[b]), bond.order))
+        frag_bonds[comp_of[bond.a]].append(Bond(local_idx[bond.a], local_idx[bond.b], bond.order))
 
     provenance: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for bb in chosen:
-        a, b = m.bonds[bb.bond_index].endpoints
+        bond = m.bonds[bb.bond_index]
         sites = []
-        for end, label in zip((a, b), bb.labels):
+        for end, label in zip((bond.a, bond.b), bb.labels):
             c = comp_of[end]
             dummy_idx = len(frag_atoms[c])
             frag_atoms[c].append(Atom(element="*", link_label=label))
-            frag_bonds[c].append(
-                Bond(endpoints=(local_idx[end], dummy_idx), order=SINGLE)
-            )
+            frag_bonds[c].append(Bond(local_idx[end], dummy_idx, SINGLE))
             sites.append((c, dummy_idx))
         provenance.append((sites[0], sites[1]))
 

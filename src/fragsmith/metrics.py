@@ -193,8 +193,9 @@ def _computed_keys(m: Molecule) -> list[bool]:
     aro_sizes = {len(r) for r in rings if all(m.atoms[i].aromatic for i in r)}
     ring_bond_count = Counter()
     for bi in bit_indices(m.ring_bonds):
-        for e in m.bonds[bi].endpoints:
-            ring_bond_count[e] += 1
+        bond = m.bonds[bi]
+        ring_bond_count[bond.a] += 1
+        ring_bond_count[bond.b] += 1
     return [
         any(a.formal_charge > 0 for a in m.atoms),
         any(a.formal_charge < 0 for a in m.atoms),

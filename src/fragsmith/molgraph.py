@@ -17,14 +17,17 @@ empty branch (``C()C``) and an empty dot-separated component (``C..C``).
 Each atom holds one hydrogen count, the bracket's for a bracket atom and
 the valence model's otherwise, so ``[CH4]`` and ``C`` parse to equal
 atoms; one parse shares a single :class:`Atom` record among its equal
-atoms. :class:`Atom` and :class:`Bond` are slotted values. A
-:class:`Molecule` computes its topology on first read: the adjacency, and
-the ring bonds and ring atoms as ``int`` bit sets (bit ``i`` set for bond
-or atom ``i`` on a ring; :func:`bit_indices` lists them). Its canonical
-SMILES is read the same way, but a molecule built in code
+atoms. :class:`Atom` is a slotted value and :class:`Bond` a slotted
+record of three ints, ``Bond(a, b, order)``. A :class:`Molecule` computes
+its topology on first read: the adjacency, and the ring bonds and ring
+atoms as ``int`` bit sets (bit ``i`` set for bond or atom ``i`` on a
+ring; :func:`bit_indices` lists them). Reading the adjacency stores the
+ring bonds with it; reading the ring bits alone keeps no adjacency. Its
+canonical SMILES is read the same way, but a molecule built in code
 (:meth:`Molecule.assembled`) carries it from the start, so
 :func:`canonical_smiles` on it computes nothing. :func:`validate` reads
-the bond list, and the ring atoms only for an aromatic atom.
+the bond list, and the ring atoms only for an aromatic atom, so it
+leaves no adjacency on any molecule.
 
 Kekule-form rings that pass a Huckel electron count are normalized to
 aromatic form at parse time, so alternative serializations of the same
@@ -107,12 +110,25 @@ class Atom:
 
 @dataclass(frozen=True, slots=True)
 class Bond:
-    """Edge between two atom indices, a slotted value. ``order`` is one
-    of the ints ``SINGLE``, ``DOUBLE``, ``TRIPLE`` and ``AROMATIC`` (1 to
-    4); a ``/`` or ``\\`` written on the bond is not kept."""
+    """Edge between atom indices ``a`` and ``b``, a slotted record of
+    three ints. ``order`` is one of ``SINGLE``, ``DOUBLE``, ``TRIPLE``
+    and ``AROMATIC`` (1 to 4); a ``/`` or ``\\`` written on the bond is
+    not kept."""
 
-    endpoints: tuple[int, int]
+    a: int
+    b: int
     order: int = SINGLE
+
+    def __init__(self, a: int, b: int, order: int = SINGLE) -> None:
+        # Through the slots' own setters: the __init__ a frozen dataclass
+        # generates calls object.__setattr__ per field, which makes
+        # building a bond half as slow again.
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_ORDER(self, order)
+
+
+_SET_A, _SET_B, _SET_ORDER = Bond.a.__set__, Bond.b.__set__, Bond.order.__set__
 
 
 class _lazy:
@@ -177,23 +193,32 @@ class Molecule:
 
     @_lazy
     def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-atom tuple of (neighbor atom index, bond index)."""
-        return _adjacency(len(self.atoms), [b.endpoints for b in self.bonds])
+        """Per-atom tuple of (neighbor atom index, bond index). The
+        :attr:`ring_bonds` are found over it and stored with it, so a
+        molecule that reads both (a canonical write does) builds one
+        adjacency, as a parse does."""
+        neighbors = _adjacency(len(self.atoms), _ends(self.bonds))
+        object.__setattr__(self, "ring_bonds", _ring_bits(len(self.bonds), neighbors))
+        return neighbors
 
     @_lazy
     def ring_bonds(self) -> int:
         """Bit set of the bonds on at least one cycle: bit ``i`` is set
-        when bond ``i`` is (read it with ``ring_bonds >> i & 1``)."""
-        return _ring_bits(len(self.bonds), self.neighbors)
+        when bond ``i`` is (read it with ``ring_bonds >> i & 1``). Unless
+        :attr:`neighbors` stored it, it is found over a throw-away
+        adjacency, so reading it, or the :attr:`ring_atoms`, leaves no
+        :attr:`neighbors` on the molecule."""
+        return _ring_bits(len(self.bonds), _adjacency(len(self.atoms), _ends(self.bonds)))
 
     @_lazy
     def ring_atoms(self) -> int:
         """Bit set of the atoms on at least one cycle, the ends of the
         :attr:`ring_bonds`."""
         bits = 0
+        bonds = self.bonds
         for bi in bit_indices(self.ring_bonds):
-            a, b = self.bonds[bi].endpoints
-            bits |= 1 << a | 1 << b
+            bond = bonds[bi]
+            bits |= 1 << bond.a | 1 << bond.b
         return bits
 
     @_lazy
@@ -220,7 +245,7 @@ class Molecule:
         never leads back to the ring, and stops after the level on which
         the far end is discovered, since a node's predecessor is fixed
         when it is discovered."""
-        return _small_rings(self.neighbors, self.ring_bonds, [b.endpoints for b in self.bonds])
+        return _small_rings(self.neighbors, self.ring_bonds, _ends(self.bonds))
 
     @_lazy
     def atoms_by_kind(self) -> dict[tuple[str, bool], tuple[int, ...]]:
@@ -242,7 +267,7 @@ class Molecule:
             counts[key] = counts.get(key, 0) + 1
         for b in self.bonds:
             if b.order in (DOUBLE, TRIPLE):
-                x, y = atoms[b.endpoints[0]], atoms[b.endpoints[1]]
+                x, y = atoms[b.a], atoms[b.b]
                 key = bond_kind((x.element, x.aromatic), b.order, (y.element, y.aromatic))
                 counts[key] = counts.get(key, 0) + 1
         return counts
@@ -299,7 +324,7 @@ def connected_components(
 
 def _small_rings(neighbors, ring_bonds: int, ends) -> tuple[tuple[int, ...], ...]:
     """:attr:`Molecule.small_rings` from the adjacency, the ring-bond bit
-    set and the bond endpoints."""
+    set and the (a, b) ends of each bond."""
     ring_adj = [[nb for nb in nbrs if ring_bonds >> nb[1] & 1] for nbrs in neighbors]
     rings: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
@@ -329,8 +354,13 @@ def _small_rings(neighbors, ring_bonds: int, ends) -> tuple[tuple[int, ...], ...
     return tuple(rings)
 
 
+def _ends(bonds: tuple[Bond, ...]) -> list[tuple[int, int]]:
+    """The (a, b) atom indices of each of ``bonds``."""
+    return [(bond.a, bond.b) for bond in bonds]
+
+
 def _adjacency(n: int, ends) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per-atom (neighbour, bond index) tuples of ``n`` atoms and bond endpoints ``ends``."""
+    """Per-atom (neighbour, bond index) tuples of ``n`` atoms and the (a, b) bond ends ``ends``."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for bi, (a, b) in enumerate(ends):
         adj[a].append((b, bi))
@@ -584,7 +614,7 @@ def _assemble(
         if atom is None:
             atom = shared[key] = Atom(*key)
         atoms.append(atom)
-    bonds = tuple(map(Bond, ends, orders))
+    bonds = tuple(Bond(a, b, order) for (a, b), order in zip(ends, orders))
     mol = Molecule(tuple(atoms), bonds, text)
     # Same bonds in the same order: the topology found above holds.
     object.__setattr__(mol, "neighbors", neighbors)
@@ -766,10 +796,8 @@ def validate(m: Molecule) -> ValidityReport:
                 (i, f"{atom.element} valence {total} exceeds {max(valences)}")
             )
     for bond in m.bonds:
-        if bond.order == AROMATIC:
-            a, b = bond.endpoints
-            if not (m.atoms[a].aromatic and m.atoms[b].aromatic):
-                failures.append((a, "aromatic bond between non-aromatic atoms"))
+        if bond.order == AROMATIC and not (m.atoms[bond.a].aromatic and m.atoms[bond.b].aromatic):
+            failures.append((bond.a, "aromatic bond between non-aromatic atoms"))
     return ValidityReport(valid=not failures, failures=tuple(failures))
 
 
@@ -779,10 +807,9 @@ def sigma_valences(m: Molecule) -> list[int]:
     unbuilt."""
     sigma = [0] * len(m.atoms)
     for bond in m.bonds:
-        a, b = bond.endpoints
         value = _SIGMA_VALUE[bond.order]
-        sigma[a] += value
-        sigma[b] += value
+        sigma[bond.a] += value
+        sigma[bond.b] += value
     return sigma
 
 
@@ -926,8 +953,7 @@ def _bond_token(m: Molecule, bi: int) -> str:
         return "="
     if bond.order == TRIPLE:
         return "#"
-    a, b = bond.endpoints
-    both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
+    both_aromatic = m.atoms[bond.a].aromatic and m.atoms[bond.b].aromatic
     in_ring = both_aromatic and m.ring_bonds >> bi & 1
     if bond.order == SINGLE:
         return "-" if in_ring else ""

@@ -48,8 +48,8 @@ def _splice(fragments: tuple[Molecule, ...], pairs) -> Molecule:
         for fi, li in pair:
             # The dummy's partners, read from the bond list so the
             # fragment's adjacency stays unbuilt.
-            ends_of = (bond.endpoints for bond in fragments[fi].bonds)
-            bonded = [b if a == li else a for a, b in ends_of if li in (a, b)]
+            bonded = [bond.b if bond.a == li else bond.a
+                      for bond in fragments[fi].bonds if bond.a == li or bond.b == li]
             if len(bonded) != 1:
                 raise UnpairedLabelError(
                     f"dummy atom must have exactly one bond, found {len(bonded)}"
@@ -69,11 +69,10 @@ def _splice(fragments: tuple[Molecule, ...], pairs) -> Molecule:
     bonds: list[Bond] = []
     for base, frag in zip(first, fragments):
         for bond in frag.bonds:
-            a, b = bond.endpoints
-            a, b = base + a, base + b
+            a, b = base + bond.a, base + bond.b
             if a not in dummies and b not in dummies:
-                bonds.append(Bond((index[a], index[b]), bond.order))
-    bonds.extend(Bond((index[a], index[b]), SINGLE) for a, b in links)
+                bonds.append(Bond(index[a], index[b], bond.order))
+    bonds.extend(Bond(index[a], index[b], SINGLE) for a, b in links)
     return Molecule.assembled(tuple(atoms), tuple(bonds))
 
 
@@ -162,17 +161,23 @@ def pair_by_labels(
     return pairs
 
 
+# The capping carbon with each hydrogen count from 0 to 4, shared by
+# every capped fragment.
+_CAP_CARBONS = tuple(Atom("C", h_total=h) for h in range(5))
+
+
 def carbon_cap(f: Molecule) -> Molecule:
     """Replace every dummy atom by a carbon atom in place.
 
     Bonds are kept; each substituted carbon gets the hydrogen count that
-    completes its valence. Fragments without dummies come back unchanged.
+    completes its valence and is the :data:`_CAP_CARBONS` record with that
+    count. Fragments without dummies come back unchanged.
     """
     if not any(a.is_dummy for a in f.atoms):
         return f
     sigma = sigma_valences(f)
     atoms = tuple(
-        Atom(element="C", h_total=max(0, 4 - sigma[i])) if atom.is_dummy else atom
+        _CAP_CARBONS[max(0, 4 - sigma[i])] if atom.is_dummy else atom
         for i, atom in enumerate(f.atoms)
     )
     return Molecule.assembled(atoms, f.bonds)

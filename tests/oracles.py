@@ -69,11 +69,11 @@ def graph_isomorphic(m1, m2) -> bool:
 
     adj1 = {}
     for b in m1.bonds:
-        a, c = b.endpoints
+        a, c = b.a, b.b
         adj1[(a, c)] = adj1[(c, a)] = b.order
     adj2 = {}
     for b in m2.bonds:
-        a, c = b.endpoints
+        a, c = b.a, b.b
         adj2[(a, c)] = adj2[(c, a)] = b.order
 
     n = len(m1.atoms)
@@ -83,7 +83,7 @@ def graph_isomorphic(m1, m2) -> bool:
     placed: set[int] = set()
     neighbors1 = [set() for _ in range(n)]
     for b in m1.bonds:
-        a, c = b.endpoints
+        a, c = b.a, b.b
         neighbors1[a].add(c)
         neighbors1[c].add(a)
     while len(order) < n:
@@ -188,7 +188,7 @@ def brics_bonds_full_scan(mol, rules):
     for bi, bond in enumerate(mol.bonds):
         if bond.order != SINGLE or mol.ring_bonds >> bi & 1:
             continue
-        a, b = bond.endpoints
+        a, b = bond.a, bond.b
         for la, lb in pairs:
             if la in labels[a] and lb in labels[b]:
                 out.append((bi, (la, lb)))
@@ -316,7 +316,7 @@ def small_rings_reference(m):
     rings = []
     seen = set()
     for bi in bit_indices(m.ring_bonds):
-        a, b = m.bonds[bi].endpoints
+        a, b = m.bonds[bi].a, m.bonds[bi].b
         path = _shortest_path(m, a, b, skip_bond=bi, limit=7)
         if path is None:
             continue
@@ -391,7 +391,7 @@ _BOND_SYMBOLS = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 
 def _bond_token(m, bi):
     bond = m.bonds[bi]
-    a, b = bond.endpoints
+    a, b = bond.a, bond.b
     if bond.order == SINGLE:
         both_aromatic = m.atoms[a].aromatic and m.atoms[b].aromatic
         if both_aromatic and m.ring_bonds >> bi & 1:
@@ -430,17 +430,17 @@ def _write_component(m, comp, order_key):
         bi
         for bi in range(len(m.bonds))
         if bi not in tree_bonds
-        and m.bonds[bi].endpoints[0] in comp_set
-        and m.bonds[bi].endpoints[1] in comp_set
+        and m.bonds[bi].a in comp_set
+        and m.bonds[bi].b in comp_set
     ]
     atom_ring_bonds = {}
     for bi in ring_bond_ids:
-        a, b = m.bonds[bi].endpoints
+        a, b = m.bonds[bi].a, m.bonds[bi].b
         atom_ring_bonds.setdefault(a, []).append(bi)
         atom_ring_bonds.setdefault(b, []).append(bi)
     for i in atom_ring_bonds:
         # i is one endpoint of each of its bonds; the sort key is the other.
-        atom_ring_bonds[i].sort(key=lambda bi: order_key(sum(m.bonds[bi].endpoints) - i))
+        atom_ring_bonds[i].sort(key=lambda bi: order_key(m.bonds[bi].a + m.bonds[bi].b - i))
 
     out = []
     open_digits = {}
@@ -926,7 +926,7 @@ def assemble_reference(
     provisional = Molecule(
         atoms=tuple(Atom(element=w.element, aromatic=w.aromatic) for w in work),
         bonds=tuple(
-            Bond(endpoints=(a, b), order=o)
+            Bond(a, b, o)
             for (a, b, _), o in zip(raw_bonds, orders)
         ),
         source_text=text,
@@ -962,7 +962,7 @@ def assemble_reference(
         for w in work
     )
     bonds = tuple(
-        Bond(endpoints=(a, b), order=o)
+        Bond(a, b, o)
         for (a, b, _), o in zip(raw_bonds, orders)
     )
     mol = Molecule(atoms=atoms, bonds=bonds, source_text=text)
@@ -1126,7 +1126,7 @@ def kekule_form(m: Molecule) -> Molecule | None:
         return None
     doubles = set(double.values())
     bonds = tuple(
-        Bond(b.endpoints, DOUBLE if bi in doubles else SINGLE)
+        Bond(b.a, b.b, DOUBLE if bi in doubles else SINGLE)
         if b.order == AROMATIC else b
         for bi, b in enumerate(m.bonds)
     )

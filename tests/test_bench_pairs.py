@@ -123,10 +123,15 @@ def test_fingerprint_check_lists_deliberate_and_flags_the_rest():
 
 
 _FAKE_RUN = """\
-import json
+import json, sys
+if sys.argv[-1] == "1":  # --trace 1: the per-layer metrics, read from spans.txt
+    parse_us, pool_us = map(float, open("spans.txt").read().split())
+    metrics = {"molgraph.parse_us": {"value": parse_us, "unit": "us"},
+               "molgraph.validate_us": {"value": pool_us, "unit": "us"}}
+else:
+    metrics = {"items_per_s": {"value": 10.0, "unit": "1/s"}}
 print("# w rounds=2")
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
-                  "metrics": {"items_per_s": {"value": 10.0, "unit": "1/s"}}}))
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}))
 """
 _FAKE_FINGERPRINTS = """\
 import json
@@ -140,11 +145,14 @@ def _fake_repo(root):
     "old" at HEAD, "new" in the working tree."""
     files = {
         "BENCHMARK.json": json.dumps({"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [
-            {"name": "items_per_s", "better": "higher", "bound": 0.25}]}),
+            {"name": "items_per_s", "better": "higher", "bound": 0.25}], "per_layer": [
+            {"name": "molgraph.parse_us", "better": "lower"},
+            {"name": "molgraph.validate_us", "better": "lower"}]}),
         "perfbench/run.py": _FAKE_RUN,
         "scripts/fingerprints.py": _FAKE_FINGERPRINTS,
         "scripts/bench_pairs.py": _PATH.read_text(),
         "ds.txt": "old",
+        "spans.txt": "20 0",
         "against.json": json.dumps({"fingerprints": {"lib": "1", "ds": "old"}}),
     }
     for name, text in files.items():
@@ -154,6 +162,7 @@ def _fake_repo(root):
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "fake"]):
         subprocess.run([*git, *args], cwd=root, check=True, capture_output=True)
     (root / "ds.txt").write_text("new")
+    (root / "spans.txt").write_text("15 0")
 
 
 @pytest.mark.parametrize("deliberate, status", [([], 1), (["ds"], 0), (["ds", "lib"], 1)])
@@ -186,5 +195,31 @@ def test_change_copy_holds_the_working_tree_without_ignored_files(tmp_path):
     script.copy_working_tree(root, dest)
     copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert copied == [".gitignore", "BENCHMARK.json", "ds.txt", "perfbench/run.py",
-                      "scripts/bench_pairs.py", "scripts/fingerprints.py", "untracked.txt"]
+                      "scripts/bench_pairs.py", "scripts/fingerprints.py", "spans.txt", "untracked.txt"]
     assert (dest / "ds.txt").read_text() == "new"
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_trace_runs_per_layer_pairs_on_the_first_seed(tmp_path, trace):
+    _fake_repo(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD", "--out", "out.json",
+         "--pairs", "2", "--seeds", "3,4", *(["--trace"] if trace else [])],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert len(report["runs"]) == 8  # 2 seeds, 2 pairs, 2 sides
+    if not trace:
+        assert "trace_summary" not in report and "trace_runs" not in report
+        return
+    assert [(r["seed"], r["pair"], r["side"]) for r in report["trace_runs"]] == [
+        (3, 0, "parent"), (3, 0, "change"), (3, 1, "change"), (3, 1, "parent")]
+    assert report["commands"][-1] == "python3 perfbench/run.py --workload w --seed 3 --seconds 1 --trace 1"
+    layers = report["trace_summary"]["w"]["metrics"]
+    assert layers["molgraph.parse_us"]["parent"]["median"] == 20.0
+    assert layers["molgraph.parse_us"]["change"]["median"] == 15.0
+    assert layers["molgraph.parse_us"]["change_won"] == 2
+    # A layer whose work runs where no span sees it reads 0 on both sides.
+    assert layers["molgraph.validate_us"]["parent"]["median"] == layers["molgraph.validate_us"]["change"]["median"] == 0
+    assert layers["molgraph.validate_us"]["change_won"] == 0

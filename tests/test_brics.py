@@ -76,7 +76,8 @@ class TestFindBricsBonds:
         bonds = find_brics_bonds(m)
         assert len(bonds) == 1
         bb = bonds[0]
-        a, b = m.bonds[bb.bond_index].endpoints
+        bond = m.bonds[bb.bond_index]
+        a, b = bond.a, bond.b
         elements = {m.atoms[a].element, m.atoms[b].element}
         assert elements == {"C", "N"}
         assert not m.ring_bonds >> bb.bond_index & 1

@@ -108,7 +108,7 @@ class TestParse:
 
     def test_records_are_slotted(self):
         fs = cut_bonds(parse_smiles("CCO"), [BricsBond(bond_index=1, labels=(1, 2))])
-        for record in (Atom("C"), Bond((0, 1)), fs.cleaved[0], fs):
+        for record in (Atom("C"), Bond(0, 1), fs.cleaved[0], fs):
             assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_equal_atoms_of_one_parse_are_one_record(self):
@@ -122,7 +122,7 @@ class TestParse:
         assert [f.name for f in dataclasses.fields(Atom)] == [
             "element", "aromatic", "formal_charge", "h_total", "isotope", "link_label",
         ]
-        assert [f.name for f in dataclasses.fields(Bond)] == ["endpoints", "order"]
+        assert [f.name for f in dataclasses.fields(Bond)] == ["a", "b", "order"]
 
     @pytest.mark.parametrize("smi, offset", [
         ("C/", 1), ("/C", 1), ("C/.C", 2), ("C(/)C", 3), ("C//C", 2), ("C=/C", 2),
@@ -365,7 +365,7 @@ def _random_cubic_graph(rng: random.Random, n: int) -> Molecule:
             continue
         mol = Molecule(
             atoms=tuple(Atom(element="C", h_total=1) for _ in range(n)),
-            bonds=tuple(Bond(endpoints=e) for e in sorted(edges)),
+            bonds=tuple(Bond(a, b) for a, b in sorted(edges)),
             source_text="",
         )
         if mol.connected:
@@ -406,7 +406,7 @@ def _plain_graphs(draw):
     n = draw(st.integers(1, 12))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
     ends = dict.fromkeys(tuple(sorted(p)) for p in pairs if p[0] != p[1])
-    return Molecule(tuple(Atom("C") for _ in range(n)), tuple(map(Bond, ends)), "")
+    return Molecule(tuple(Atom("C") for _ in range(n)), tuple(Bond(a, b) for a, b in ends), "")
 
 
 def _joined_without(ends, skip: int) -> bool:
@@ -431,7 +431,7 @@ def _joined_without(ends, skip: int) -> bool:
 def test_ring_bits_are_the_bonds_on_a_cycle(m):
     """Bit i of ``ring_bonds`` is set exactly when bond i's ends stay
     connected without it; ``ring_atoms`` holds exactly those bonds' ends."""
-    ends = [b.endpoints for b in m.bonds]
+    ends = [(b.a, b.b) for b in m.bonds]
     on_cycle = [bi for bi in range(len(ends)) if _joined_without(ends, bi)]
     assert m.ring_bonds == sum(1 << bi for bi in on_cycle)
     assert m.ring_atoms == sum(1 << i for i in {x for bi in on_cycle for x in ends[bi]})

@@ -100,7 +100,7 @@ def molecule_graphs(draw):
     raw = Molecule(
         atoms=tuple(atoms),
         bonds=tuple(
-            Bond(endpoints=(a, b), order=order_name[o]) for a, b, o in bonds
+            Bond(a, b, order_name[o]) for a, b, o in bonds
         ),
         source_text="",
     )

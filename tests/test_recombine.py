@@ -234,3 +234,23 @@ class TestBuiltMolecules:
             carbon_cap(f)
         for k, f in enumerate(fs.fragments):
             assert not set(TOPOLOGY) & set(vars(f)), k
+
+
+def test_validate_on_built_aromatic_molecules_keeps_no_adjacency():
+    # validate reads the ring atoms of an aromatic atom; the ring bits are
+    # found over a throw-away adjacency, so at most the two bit sets stay.
+    fs = fragment(parse_smiles("CC(=O)Nc1ccc(OCC(=O)NCCN2CCOCC2)cc1"),
+                  FragmentParams(k=1000, alpha=1.5, seed=0))
+    capped = [carbon_cap(f) for f in fs.fragments]
+    aromatic = [c for c in capped if any(a.aromatic for a in c.atoms)]
+    assert aromatic
+    for m in (*aromatic, rejoin(fs)):
+        assert validate(m).valid, m.source_text
+        assert "ring_atoms" in vars(m) and not {"neighbors", "components"} & set(vars(m)), m.source_text
+        assert m.ring_atoms.bit_count() == parse_smiles(m.source_text).ring_atoms.bit_count()
+
+
+def test_capping_carbons_are_shared():
+    one, two = carbon_cap(parse_smiles("[1*]N1CCOCC1")), carbon_cap(parse_smiles("CC[3*]"))
+    assert one.atoms[0] == two.atoms[2] and one.atoms[0] is two.atoms[2]
+    assert one.atoms[0].h_total == 3
