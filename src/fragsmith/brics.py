@@ -33,6 +33,8 @@ from .molgraph import (
 from .patterns import Pattern, PatternError, compile_pattern, match_at
 
 DUMMY_LABEL_RANGE = range(1, 17)
+# The dummy atom carrying each link label, shared by every cut fragment.
+_DUMMY_ATOMS = {label: Atom("*", link_label=label) for label in DUMMY_LABEL_RANGE}
 # The rule table's bond column -> bond order.
 _BOND_KINDS = {"single": SINGLE, "double": DOUBLE, "triple": TRIPLE, "aromatic": AROMATIC}
 
@@ -289,7 +291,7 @@ def fragment(
 
 
 def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
-    """Cut an explicit list of bonds, inserting labeled dummies per side."""
+    """Cut an explicit list of bonds, inserting per side the shared dummy of its label."""
     parent = canonical_smiles(m)
     if not chosen:
         return FragmentSet(
@@ -322,7 +324,7 @@ def cut_bonds(m: Molecule, chosen: list[BricsBond]) -> FragmentSet:
         for end, label in zip((bond.a, bond.b), bb.labels):
             c = comp_of[end]
             dummy_idx = len(frag_atoms[c])
-            frag_atoms[c].append(Atom(element="*", link_label=label))
+            frag_atoms[c].append(_DUMMY_ATOMS[label])
             frag_bonds[c].append(Bond(local_idx[end], dummy_idx, SINGLE))
             sites.append((c, dummy_idx))
         provenance.append((sites[0], sites[1]))

@@ -21,10 +21,11 @@ atoms. :class:`Atom` is a slotted value and :class:`Bond` a slotted
 record of three ints, ``Bond(a, b, order)``. A :class:`Molecule` computes
 its topology on first read: the adjacency, and the ring bonds and ring
 atoms as ``int`` bit sets (bit ``i`` set for bond or atom ``i`` on a
-ring; :func:`bit_indices` lists them). Reading the adjacency stores the
-ring bonds with it; reading the ring bits alone keeps no adjacency. Its
-canonical SMILES is read the same way, but a molecule built in code
-(:meth:`Molecule.assembled`) carries it from the start, so
+ring; :func:`bit_indices` lists them), and the connected components.
+Reading the adjacency stores the ring bonds and the components with it,
+both found in one bridge search; reading the ring bits alone keeps no
+adjacency. Its canonical SMILES is read the same way, but a molecule
+built in code (:meth:`Molecule.assembled`) carries it from the start, so
 :func:`canonical_smiles` on it computes nothing. :func:`validate` reads
 the bond list, and the ring atoms only for an aromatic atom, so it
 leaves no adjacency on any molecule.
@@ -68,11 +69,12 @@ BOND_ORDERS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 # What may stand where a bond symbol may: the bond symbols and the ``/``
 # and ``\`` double-bond configuration marks, which set no order.
 _BOND_SYMBOLS = frozenset((*BOND_ORDERS, "/", "\\"))
-# Bond valence in half-units, indexed by order: an aromatic bond counts 1.5.
-_ORDER_VALUE = (0, 2, 4, 6, 3)
-# Integer bond contribution used by the valence check, indexed by order:
-# an aromatic bond occupies one sigma slot.
-_SIGMA_VALUE = (0, 1, 2, 3, 1)
+# A bond's share of each end's valence, indexed by order, as one int: its
+# half-units (an aromatic bond counts 1.5) from bit 16 up and its sigma
+# slots (an aromatic bond occupies one) in SIGMA_MASK, so one sum per atom
+# holds both totals.
+SIGMA_MASK = 0xFFFF
+_VALENCE = tuple(half << 16 | sigma for half, sigma in zip((0, 2, 4, 6, 3), (0, 1, 2, 3, 1)))
 
 
 class SmilesError(ValueError):
@@ -193,12 +195,13 @@ class Molecule:
 
     @_lazy
     def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-atom tuple of (neighbor atom index, bond index). The
-        :attr:`ring_bonds` are found over it and stored with it, so a
-        molecule that reads both (a canonical write does) builds one
-        adjacency, as a parse does."""
+        """Per-atom tuple of (neighbor atom index, bond index), stored with
+        the :attr:`ring_bonds` and :attr:`components` that one traversal of
+        it finds, as a parse does; a canonical write reads all three."""
         neighbors = _adjacency(len(self.atoms), _ends(self.bonds))
-        object.__setattr__(self, "ring_bonds", _ring_bits(len(self.bonds), neighbors))
+        ring, components = _ring_bits(len(self.bonds), neighbors)
+        object.__setattr__(self, "ring_bonds", ring)
+        object.__setattr__(self, "components", components)
         return neighbors
 
     @_lazy
@@ -208,7 +211,7 @@ class Molecule:
         :attr:`neighbors` stored it, it is found over a throw-away
         adjacency, so reading it, or the :attr:`ring_atoms`, leaves no
         :attr:`neighbors` on the molecule."""
-        return _ring_bits(len(self.bonds), _adjacency(len(self.atoms), _ends(self.bonds)))
+        return _ring_bits(len(self.bonds), _adjacency(len(self.atoms), _ends(self.bonds)))[0]
 
     @_lazy
     def ring_atoms(self) -> int:
@@ -223,8 +226,9 @@ class Molecule:
 
     @_lazy
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted atom-index tuples."""
-        return connected_components(self)
+        """Connected components, sorted atom-index tuples, lowest first; see :attr:`neighbors`."""
+        self.neighbors
+        return self.components
 
     @property
     def connected(self) -> bool:
@@ -289,8 +293,10 @@ def atom_invariant(m: Molecule, i: int) -> tuple[int, ...]:
     label, total hydrogens, degree): where canonical ranking starts and
     what the fingerprints hash."""
     a = m.atoms[i]
-    return (ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge, a.isotope or 0,
-            a.link_label or 0, a.h_total, len(m.neighbors[i]))
+    # No isotope reads 0; an isotope of 0 is written and reads -1.
+    return (ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge,
+            -1 if a.isotope == 0 else a.isotope or 0, a.link_label or 0, a.h_total,
+            len(m.neighbors[i]))
 
 
 def bond_kind(a: tuple[str, bool], order: int, b: tuple[str, bool]) -> tuple:
@@ -368,18 +374,17 @@ def _adjacency(n: int, ends) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, adj))
 
 
-def _ring_bits(n_bonds: int, nbrs) -> int:
-    """Bit set of the ``n_bonds`` bonds of adjacency ``nbrs`` that lie on
-    a cycle: every bond but the bridges, those whose removal disconnects
-    the graph (iterative DFS)."""
-    n = len(nbrs)
-    disc = [-1] * n
-    low = [0] * n
-    bridges = 0
-    timer = 0
-    for root in range(n):
+def _ring_bits(n_bonds: int, nbrs) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The bit set of the ``n_bonds`` bonds of adjacency ``nbrs`` on a
+    cycle (all but the bridges), and the connected components: the sorted
+    atoms of one iterative DFS from each atom no earlier root reached."""
+    disc, low = [-1] * len(nbrs), [0] * len(nbrs)
+    bridges = timer = 0
+    components = []
+    for root in range(len(nbrs)):
         if disc[root] != -1:
             continue
+        components.append(found := [root])
         disc[root] = low[root] = timer
         timer += 1
         stack = [(root, -1, iter(nbrs[root]))]
@@ -389,6 +394,7 @@ def _ring_bits(n_bonds: int, nbrs) -> int:
                 if bi == parent_bond:
                     continue
                 if disc[nbr] == -1:
+                    found.append(nbr)
                     disc[nbr] = low[nbr] = timer
                     timer += 1
                     stack.append((nbr, bi, iter(nbrs[nbr])))
@@ -403,7 +409,7 @@ def _ring_bits(n_bonds: int, nbrs) -> int:
                         low[pnode] = low[node]
                     if low[node] > disc[pnode]:
                         bridges |= 1 << parent_bond
-    return (1 << n_bonds) - 1 ^ bridges
+    return (1 << n_bonds) - 1 ^ bridges, tuple(tuple(sorted(c)) for c in components)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +596,7 @@ def _assemble(
     """Resolve default bond orders, fill hydrogens, perceive aromatic rings."""
     ends = [(a, b) for a, b, _ in raw_bonds]
     neighbors = _adjacency(len(work), ends)
-    ring = _ring_bits(len(ends), neighbors)
+    ring, components = _ring_bits(len(ends), neighbors)
     orders: list[int] = []
     for bi, (a, b, order) in enumerate(raw_bonds):
         if order is None:
@@ -598,13 +604,16 @@ def _assemble(
             order = AROMATIC if work[a].aromatic and work[b].aromatic and ring >> bi & 1 else SINGLE
         orders.append(order)
 
-    adj = [[(j, orders[bi]) for j, bi in nbrs] for nbrs in neighbors]
-    for w, bonded in zip(work, adj):
+    bonds = tuple(Bond(a, b, order) for (a, b), order in zip(ends, orders))
+    for w, v in zip(work, bond_valences(len(work), bonds)):
         if not (w.bracket or w.element == DUMMY):
-            w.h_total = _default_hydrogens(w.element, w.aromatic, [o for _, o in bonded])
+            w.h_total = _default_hydrogens(w.element, w.aromatic, v >> 16, v & SIGMA_MASK)
+
+    adj = [[(j, orders[bi]) for j, bi in nbrs] for nbrs in neighbors]
 
     if _may_aromatize(work, ends, orders, adj, ring):
         _perceive_aromatic(work, ends, orders, adj, _small_rings(neighbors, ring, ends))
+        bonds = tuple(b if b.order == o else Bond(b.a, b.b, o) for b, o in zip(bonds, orders))
 
     shared: dict[tuple, Atom] = {}  # equal atoms share one record
     atoms = []
@@ -614,26 +623,25 @@ def _assemble(
         if atom is None:
             atom = shared[key] = Atom(*key)
         atoms.append(atom)
-    bonds = tuple(Bond(a, b, order) for (a, b), order in zip(ends, orders))
     mol = Molecule(tuple(atoms), bonds, text)
     # Same bonds in the same order: the topology found above holds.
     object.__setattr__(mol, "neighbors", neighbors)
     object.__setattr__(mol, "ring_bonds", ring)
+    object.__setattr__(mol, "components", components)
     return mol
 
 
-def _default_hydrogens(element: str, aromatic: bool, orders: list[int]) -> int:
-    """Implicit hydrogen count for an unbracketed atom in a bond context."""
+def _default_hydrogens(element: str, aromatic: bool, half: int, sigma: int) -> int:
+    """Implicit hydrogen count for an unbracketed atom whose bonds total
+    ``half`` half-units of valence and ``sigma`` sigma slots."""
     valences = allowed_valences(element, 0)
     if not valences:
         return 0
     if aromatic:
         # One sigma slot per bond plus one electron committed to the ring
         # pi system; lowest valence only (thiophene S gets no hydrogen).
-        sigma = sum(map(_SIGMA_VALUE.__getitem__, orders))
         return max(0, valences[0] - (sigma + 1))
-    # The bond valence rounded up, from half-units.
-    total = (sum(map(_ORDER_VALUE.__getitem__, orders)) + 1) // 2
+    total = (half + 1) // 2  # the bond valence rounded up
     for v in valences:
         if v >= total:
             return v - total
@@ -781,7 +789,7 @@ def validate(m: Molecule) -> ValidityReport:
     when an aromatic bond touches a non-aromatic atom.
     """
     failures: list[tuple[int, str]] = []
-    sigma = sigma_valences(m)
+    valence = bond_valences(len(m.atoms), m.bonds)
     for i, atom in enumerate(m.atoms):
         if atom.is_dummy:
             continue
@@ -790,7 +798,7 @@ def validate(m: Molecule) -> ValidityReport:
         valences = allowed_valences(atom.element, atom.formal_charge)
         if valences is None:
             continue
-        total = sigma[i] + atom.h_total
+        total = (valence[i] & SIGMA_MASK) + atom.h_total
         if total > max(valences):
             failures.append(
                 (i, f"{atom.element} valence {total} exceeds {max(valences)}")
@@ -801,16 +809,16 @@ def validate(m: Molecule) -> ValidityReport:
     return ValidityReport(valid=not failures, failures=tuple(failures))
 
 
-def sigma_valences(m: Molecule) -> list[int]:
-    """Valence each atom spends on its bonds, an aromatic bond taking one
-    sigma slot: one pass over the bond list, so ``m``'s adjacency stays
-    unbuilt."""
-    sigma = [0] * len(m.atoms)
-    for bond in m.bonds:
-        value = _SIGMA_VALUE[bond.order]
-        sigma[bond.a] += value
-        sigma[bond.b] += value
-    return sigma
+def bond_valences(n: int, bonds: tuple[Bond, ...]) -> list[int]:
+    """Each of ``n`` atoms' bond valence, its half-units ``>> 16`` and its
+    sigma slots ``& SIGMA_MASK``: one pass over ``bonds``, so no adjacency
+    is built."""
+    valence = [0] * n
+    for bond in bonds:
+        share = _VALENCE[bond.order]
+        valence[bond.a] += share
+        valence[bond.b] += share
+    return valence
 
 
 def molecular_weight(m: Molecule) -> float:
@@ -831,47 +839,55 @@ def molecular_weight(m: Molecule) -> float:
 def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) -> dict[int, int]:
     """Rank the atoms of one connected component (atom index -> rank).
 
-    Atoms are first split by their invariants (:func:`atom_invariant`,
-    sorted bond ranks, in a ring) into ordered cells of positions in
-    ``comp``; an atom's rank is the position its cell starts at. Unless
-    that partition is already discrete, each round then splits every cell
-    next to one that split in the round before (no other cell can split)
-    by its members' sorted (bond rank, neighbour rank) multisets, the
-    parts taking its place in ascending order. ``break_ties`` then moves
-    the lowest atom index of the first tied cell to its front and refines
-    again, until every atom has its own rank. The result numbers the cells
-    densely.
-    """
+    Atoms are first split into ordered cells of positions in ``comp`` by
+    one flat key each, the :func:`atom_invariant` fields, sorted bond
+    ranks and in a ring (equal invariants imply equal degree, so it sorts
+    as the nested key does); an atom's rank is the position its cell
+    starts at. Unless that partition is already discrete, each round then
+    splits every cell next to an atom whose rank moved in the round before
+    (no other cell can split) by its members' sorted (bond rank,
+    neighbour rank) multisets, the parts taking its place in ascending
+    order, the first keeping its start. ``break_ties`` then moves the
+    lowest atom index of the first tied cell to its front and refines
+    again, until every atom has its own rank. The cells are numbered
+    densely."""
     n = len(comp)
-    nbrs, ring_atoms = m.neighbors, m.ring_atoms
+    atoms, bonds, nbrs, ring_atoms = m.atoms, m.bonds, m.neighbors, m.ring_atoms
     # A component holding every atom is (0, ..., n - 1): range(n) maps it.
-    local = range(n) if n == len(m.atoms) else {a: k for k, a in enumerate(comp)}
-    bond_rank = [b.order for b in m.bonds]
-    # (bond rank * n, neighbour); bond rank * n + neighbour rank sorts as
-    # the (bond rank, neighbour rank) pair does.
-    adj = [[(bond_rank[bi] * n, local[j]) for j, bi in nbrs[i]] for i in comp]
-    # The invariants are tuples of one length, so (invariant, orders, in a
-    # ring) sorts as the flat tuple of their fields does.
-    keyed = sorted([
-        ((atom_invariant(m, i), sorted([bond_rank[bi] for _, bi in nbrs[i]]), ring_atoms >> i & 1), k)
-        for k, i in enumerate(comp)
-    ])
-    cells: dict[int, list[int]] = {}  # start position -> members
-    rank = [0] * n
-    prev = None
+    local = range(n) if n == len(atoms) else {a: k for k, a in enumerate(comp)}
+    # Per position, (bond rank * n, neighbour position): bond rank * n +
+    # neighbour rank sorts as the (bond rank, neighbour rank) pair does.
+    adj, keyed = [], []
+    for k, i in enumerate(comp):
+        a = atoms[i]
+        row, orders = [], []
+        for j, bi in nbrs[i]:
+            order = bonds[bi].order
+            row.append((order * n, local[j]))
+            orders.append(order)
+        orders.sort()
+        adj.append(row)
+        keyed.append(((ATOMIC_NUMBERS.get(a.element, 99), a.aromatic, a.formal_charge,
+                       -1 if a.isotope == 0 else a.isotope or 0, a.link_label or 0, a.h_total,
+                       len(row), *orders, ring_atoms >> i & 1), k))
+    keyed.sort()
+    cells: dict[int, list[int]] = {}
+    rank, prev = [0] * n, None
     for pos, (key, k) in enumerate(keyed):
         if key != prev:
             start, prev = pos, key
-            cells[start] = []
-        cells[start].append(k)
+            cell = cells[pos] = []
+        cell.append(k)
         rank[k] = start
-    changed = list(cells.values()) if len(cells) < n else []  # split last round
+    moved = list(cells.items()) if len(cells) < n else []  # (start, part): the ranks to set
     while True:
-        while changed:
-            touched = {rank[j] for cell in changed for k in cell for _, j in adj[k]}
-            changed = []
+        while moved:
+            for start, part in moved:
+                for k in part:
+                    rank[k] = start
+            todo = {rank[j] for _, part in moved for k in part for _, j in adj[k]}
             moved = []
-            for start in touched:
+            for start in todo:
                 cell = cells[start]
                 if len(cell) == 1:
                     continue
@@ -883,23 +899,20 @@ def _component_ranks(m: Molecule, comp: tuple[int, ...], *, break_ties: bool) ->
                 for key, k in keyed:
                     if key != prev:
                         cells[start] = part
-                        moved.append((start, part))
                         start, prev, part = start + len(part), key, []
+                        moved.append((start, part))
                     part.append(k)
                 cells[start] = part
-                moved.append((start, part))
-            for start, part in moved:
-                changed.append(part)
-                for k in part:
-                    rank[k] = start
         if not break_ties or len(cells) == n:
-            return {comp[k]: r for r, start in enumerate(sorted(cells)) for k in cells[start]}
+            if len(cells) < n:
+                dense = {start: r for r, start in enumerate(sorted(cells))}
+                rank = [dense[r] for r in rank]
+            return dict(zip(comp, rank))
         start = min(s for s, cell in cells.items() if len(cell) > 1)
         promote = min(cells[start], key=comp.__getitem__)
-        changed = [[promote], [k for k in cells[start] if k != promote]]
-        cells[start], cells[start + 1] = changed
-        for k in changed[1]:
-            rank[k] = start + 1
+        rest = [k for k in cells[start] if k != promote]
+        cells[start], cells[start + 1] = [promote], rest
+        moved = [(start + 1, rest)]
 
 
 def symmetry_classes(m: Molecule) -> dict[int, int]:
@@ -917,9 +930,14 @@ def symmetry_classes(m: Molecule) -> dict[int, int]:
 # Serialization
 # ---------------------------------------------------------------------------
 
+# A bond's text by order, off and on a ring between aromatic atoms (off
+# one, an unmarked bond re-parses as single, as in biphenyl).
+_BOND_TEXT = (("", "", "=", "#", ":"), ("", "-", "=", "#", ""))
+_RING_LABELS = tuple(str(d) if d < 10 else f"%{d:02d}" for d in range(100))  # by ring-closure digit
 
-def _atom_token(m: Molecule, i: int) -> str:
-    a = m.atoms[i]
+
+def _atom_token(a: Atom, valence: int) -> str:
+    """Atom ``a``'s text, its bonds totalling ``valence`` (see :func:`bond_valences`)."""
     el = a.element
     if el == DUMMY:
         return f"[{a.link_label}*]" if a.link_label else DUMMY
@@ -930,50 +948,38 @@ def _atom_token(m: Molecule, i: int) -> str:
         and a.formal_charge == 0
         and el in ORGANIC_SUBSET
         and (not a.aromatic or sym in AROMATIC_ORGANIC)
-        and h == _default_hydrogens(el, a.aromatic, [m.bonds[bi].order for _, bi in m.neighbors[i]])
+        and h == _default_hydrogens(el, a.aromatic, valence >> 16, valence & SIGMA_MASK)
     ):
         return sym
     hstr = "" if h == 0 else ("H" if h == 1 else f"H{h}")
     c = a.formal_charge
-    if c == 0:
-        cstr = ""
-    elif c == 1:
-        cstr = "+"
-    elif c == -1:
-        cstr = "-"
-    else:
-        cstr = f"{'+' if c > 0 else '-'}{abs(c)}"
+    cstr = "" if c == 0 else ("+" if c > 0 else "-") + (str(abs(c)) if abs(c) > 1 else "")
     iso = "" if a.isotope is None else str(a.isotope)
     return f"[{iso}{sym}{hstr}{cstr}]"
 
 
-def _bond_token(m: Molecule, bi: int) -> str:
-    bond = m.bonds[bi]
-    if bond.order == DOUBLE:
-        return "="
-    if bond.order == TRIPLE:
-        return "#"
-    both_aromatic = m.atoms[bond.a].aromatic and m.atoms[bond.b].aromatic
-    in_ring = both_aromatic and m.ring_bonds >> bi & 1
-    if bond.order == SINGLE:
-        return "-" if in_ring else ""
-    # Outside a ring an unmarked bond re-parses as single (biphenyl).
-    return "" if in_ring else ":"
+def _texts(m: Molecule) -> tuple[list[str], list[str]]:
+    """Each atom's text, from its :func:`bond_valences`, and each bond's."""
+    atoms, bonds, ring = m.atoms, m.bonds, m.ring_bonds
+    texts = [_BOND_TEXT[ring >> bi & 1 and atoms[b.a].aromatic and atoms[b.b].aromatic][b.order]
+             for bi, b in enumerate(bonds)]
+    return list(map(_atom_token, atoms, bond_valences(len(atoms), bonds))), texts
 
 
-def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) -> str:
-    """Write one connected component in a single depth-first pass.
+def _write_component(
+    nbrs, comp: tuple[int, ...], order, atom_text: list[str], bond_text: list[str]
+) -> str:
+    """Write one connected component of adjacency ``nbrs`` in a single
+    depth-first pass, from the atom and bond texts of :func:`_texts`.
 
     ``order`` gives every atom of ``comp`` a distinct sort key. Each atom
-    is written when it is popped from the stack, and its neighbours are
-    sorted once by key. An unvisited neighbour becomes a child, marked
-    visited at once; any other neighbour, except the one reached through
-    the parent bond, is a ring closure, and its digit is opened (the
-    lowest free one) or closed right after the atom. Children are pushed
-    so the lowest-keyed one is written first; every child but the last
-    opens a branch, and each leaf closes the innermost open branch.
+    is written when popped from the stack, its neighbours sorted once by
+    key: an unvisited one becomes a child, marked visited at once; any
+    other but the one across the parent bond is a ring closure, whose
+    digit (the lowest free one) is opened or closed right after the atom.
+    Children are pushed so the lowest-keyed one is written first; every
+    child but the last opens a branch, and each leaf closes the innermost.
     """
-    nbrs = m.neighbors
     # Rooting at a low-degree atom keeps the output chain-like; degree is a
     # graph invariant, so canonical determinism is unaffected.
     root = min(comp, key=lambda i: (len(nbrs[i]), order[i]))
@@ -991,8 +997,8 @@ def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) 
             branch_open += 1
         pb = parent_bond[cur]
         if pb >= 0:
-            out.append(_bond_token(m, pb))
-        out.append(_atom_token(m, cur))
+            out.append(bond_text[pb])
+        out.append(atom_text[cur])
         kids = []
         for _, j, bi in sorted([(order[j], j, bi) for j, bi in nbrs[cur]]):
             if j not in parent_bond:
@@ -1003,7 +1009,7 @@ def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) 
             elif bi in open_digits:
                 digit = open_digits.pop(bi)
                 used_digits.discard(digit)
-                out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+                out.append(_RING_LABELS[digit])
             else:
                 digit = 1
                 while digit in used_digits:
@@ -1012,8 +1018,8 @@ def _write_component(m: Molecule, comp: tuple[int, ...], order: dict[int, int]) 
                     raise ValueError("too many simultaneous ring closures")
                 used_digits.add(digit)
                 open_digits[bi] = digit
-                out.append(_bond_token(m, bi))
-                out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+                out.append(bond_text[bi])
+                out.append(_RING_LABELS[digit])
         if kids:
             branch_set.update(kids[:-1])
             stack += reversed(kids)
@@ -1033,15 +1039,17 @@ def write_smiles(m: Molecule, *, rng: random.Random | None = None) -> str:
     order or, with ``rng``, in a shuffled order; canonical components
     are joined in sorted order, randomized ones in shuffled order.
     """
+    components = m.components  # first: it finds the ring bonds too
+    atom_text, bond_text = _texts(m)
     parts = []
-    for comp in m.components:
+    for comp in components:
         if rng is None:
             order = _component_ranks(m, comp, break_ties=True)
         else:
             shuffled = list(comp)
             rng.shuffle(shuffled)
             order = {atom: pos for pos, atom in enumerate(shuffled)}
-        parts.append(_write_component(m, comp, order))
+        parts.append(_write_component(m.neighbors, comp, order, atom_text, bond_text))
     if rng is None:
         parts.sort()
     else:

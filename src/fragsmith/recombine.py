@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from .brics import FragmentSet, RuleTable, default_rules
 from .molgraph import (
+    SIGMA_MASK,
     SINGLE,
     Atom,
     Bond,
     Molecule,
+    bond_valences,
     canonical_smiles,
-    sigma_valences,
     symmetry_classes,
 )
 
@@ -175,9 +176,9 @@ def carbon_cap(f: Molecule) -> Molecule:
     """
     if not any(a.is_dummy for a in f.atoms):
         return f
-    sigma = sigma_valences(f)
+    valence = bond_valences(len(f.atoms), f.bonds)
     atoms = tuple(
-        _CAP_CARBONS[max(0, 4 - sigma[i])] if atom.is_dummy else atom
+        _CAP_CARBONS[max(0, 4 - (valence[i] & SIGMA_MASK))] if atom.is_dummy else atom
         for i, atom in enumerate(f.atoms)
     )
     return Molecule.assembled(atoms, f.bonds)

@@ -75,18 +75,14 @@ def _default_base_tokens() -> list[str]:
     return tokens
 
 
+# One atom unit: a bracket expression, %nn, Cl, Br or any one character.
 _UNIT_RE = re.compile(r"\[[^\[\]]*\]|%[0-9][0-9]|Cl|Br|.", re.S)
-
-
-def _split_units(text: str) -> list[tuple[int, int]]:
-    """Atom-level unit spans: bracket expressions, %nn, two-letter
-    elements, then single characters."""
-    return [(m.start(), m.end()) for m in _UNIT_RE.finditer(text)]
 
 
 @dataclass(frozen=True)
 class Vocab:
-    """Immutable token inventory. Index in ``tokens`` is the id."""
+    """Immutable token inventory. Index in ``tokens`` is the id; the
+    :attr:`trie` over atom units is what greedy longest-match walks."""
 
     tokens: tuple[str, ...]
     classes: tuple[str, ...]
@@ -99,7 +95,7 @@ class Vocab:
         # Only group tokens may span several atom units: then greedy
         # matching with groups is never longer than without them.
         for tok, cls in zip(self.tokens, self.classes):
-            if cls not in (CLASS_GROUP, CLASS_SPECIAL) and _split_units(tok) != [(0, len(tok))]:
+            if cls not in (CLASS_GROUP, CLASS_SPECIAL) and not _UNIT_RE.fullmatch(tok):
                 raise TokenizerError(f"{cls} token {tok!r} is not exactly one atom unit")
 
     @cached_property
@@ -107,12 +103,18 @@ class Vocab:
         return {t: i for i, t in enumerate(self.tokens)}
 
     @cached_property
-    def lengths_by_first(self) -> dict[str, tuple[int, ...]]:
-        """First character -> lengths of the tokens it starts, longest first."""
-        lengths: dict[str, set[int]] = {}
-        for t in filter(None, self.tokens):
-            lengths.setdefault(t[0], set()).add(len(t))
-        return {ch: tuple(sorted(ls, reverse=True)) for ch, ls in lengths.items()}
+    def trie(self) -> dict:
+        """The tokens but the framing specials as a trie over atom units:
+        a node maps each unit to the next node, and ``""`` (never a unit)
+        to the id of the token ending there."""
+        root: dict = {}
+        for idx, (tok, cls) in enumerate(zip(self.tokens, self.classes)):
+            if cls != CLASS_SPECIAL:
+                node = root
+                for unit in _UNIT_RE.findall(tok):
+                    node = node.setdefault(unit, {})
+                node[""] = idx
+        return root
 
     def class_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -215,45 +217,34 @@ class TokenStream:
 
 
 def _encode_component(text: str, v: Vocab) -> list[int]:
-    """Greedy longest-match over one dot-free component.
-
-    Multi-unit tokens must start and end on atom-unit boundaries; inside
-    a bracket unit, single characters may be consumed as a fallback so
-    any bracket atom stays losslessly tokenizable.
-    """
-    units = _split_units(text)
-    boundaries = {s for s, _ in units} | {e for _, e in units}
-    bracket_of = [-1] * (len(text) + 1)
-    for ui, (s, e) in enumerate(units):
-        if text[s] == "[":
-            for pos in range(s, e):
-                bracket_of[pos] = ui
-
-    lengths, lookup = v.lengths_by_first, v.lookup
+    """Greedy longest-match over one dot-free component: from each unit,
+    the longest token down :attr:`Vocab.trie`, so a token starts and ends
+    on atom-unit boundaries. A bracket unit that starts no token is taken
+    one character at a time, so any bracket atom stays tokenizable."""
+    trie = v.trie
+    units = _UNIT_RE.findall(text)
     ids: list[int] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        for L in lengths.get(text[i], ()):
-            if L > n - i:
-                continue
-            idx = lookup.get(text[i : i + L])
-            if idx is None:
-                continue
-            if v.classes[idx] == CLASS_SPECIAL:
-                continue  # framing tokens are never read from payload text
-            aligned = i in boundaries and (i + L) in boundaries
-            if not aligned:
-                b = bracket_of[i]
-                if b == -1 or L > 1 or bracket_of[i + L - 1] != b:
-                    continue
-            break
-        else:
-            raise UntokenizableError(
-                f"character {text[i]!r} at position {i} is outside the base rules"
-            )
-        ids.append(idx)
-        i += L
+    k, n = 0, len(units)
+    while k < n:
+        node, idx, end = trie, None, k + 1
+        for j in range(k, n):
+            node = node.get(units[j])
+            if node is None:
+                break
+            if "" in node:
+                idx, end = node[""], j + 1
+        if idx is not None:
+            ids.append(idx)
+        else:  # a bracket unit that starts no token: its characters
+            for at, ch in enumerate(units[k]):
+                idx = trie.get(ch, {}).get("") if units[k][0] == "[" else None
+                if idx is None:
+                    pos = len("".join(units[:k])) + at
+                    raise UntokenizableError(
+                        f"character {ch!r} at position {pos} is outside the base rules"
+                    )
+                ids.append(idx)
+        k = end
     return ids
 
 
@@ -281,9 +272,7 @@ def tokenize(
 
     ids: list[int] = []
     for comp in text.split("."):
-        ids.append(begin)
-        ids.extend(_encode_component(comp, v))
-        ids.append(end)
+        ids += (begin, *_encode_component(comp, v), end)
     return TokenStream(tokens=tuple(ids))
 
 

@@ -44,7 +44,6 @@ from fragsmith.molgraph import (
     Molecule,
     SmilesError,
     _assemble,
-    _default_hydrogens,
     _WorkAtom,
     bit_indices,
 )
@@ -54,7 +53,7 @@ def _atom_key(mol, i):
     a = mol.atoms[i]
     return (
         a.element, a.aromatic, a.formal_charge,
-        a.isotope or 0, a.link_label or 0, a.h_total,
+        -1 if a.isotope is None else a.isotope, a.link_label or 0, a.h_total,
     )
 
 
@@ -215,7 +214,7 @@ def _initial_invariants(m, comp):
             ATOMIC_NUMBERS.get(a.element, 99),
             a.aromatic,
             a.formal_charge,
-            a.isotope or 0,
+            -1 if a.isotope == 0 else a.isotope or 0,  # an isotope of 0 is written
             a.link_label or 0,
             a.h_total,
             len(m.neighbors[i]),
@@ -355,7 +354,6 @@ def _shortest_path(m, src, dst, skip_bond, limit):
 # with component_ranks_reference, the ranking the package's is pinned to.
 def _atom_token(m, i):
     from fragsmith.elements import AROMATIC_ORGANIC, DUMMY, ORGANIC_SUBSET
-    from fragsmith.molgraph import _default_hydrogens
 
     a = m.atoms[i]
     if a.is_dummy:
@@ -367,7 +365,7 @@ def _atom_token(m, i):
         and a.formal_charge == 0
         and a.element in ORGANIC_SUBSET
         and (not a.aromatic or sym in AROMATIC_ORGANIC)
-        and a.h_total == _default_hydrogens(a.element, a.aromatic, orders)
+        and a.h_total == default_hydrogens_reference(a.element, a.aromatic, orders)
     )
     if plain_ok:
         return sym
@@ -944,7 +942,7 @@ def assemble_reference(
     for i, w in enumerate(work):
         if w.bracket or w.element == DUMMY:
             continue
-        w.h_total = _default_hydrogens(
+        w.h_total = default_hydrogens_reference(
             w.element, w.aromatic, [o for _, o in adj[i]]
         )
 

@@ -23,6 +23,7 @@ from fragsmith.molgraph import (
     _default_hydrogens,
     bit_indices,
     canonical_smiles,
+    connected_components,
     molecular_weight,
     parse_smiles,
     randomized_smiles,
@@ -278,6 +279,16 @@ class TestCanonical:
         alt = randomized_smiles(m, seed)
         assert canonical_smiles(parse_smiles(alt)) == reference
 
+    @pytest.mark.parametrize("a, b", [("[0CH3]C", "C[0CH3]"), ("[0cH]1ccccc1", "c1cccc[0cH]1"),
+                                      ("[0CH3]C(C)C", "CC(C)[0CH3]")])
+    def test_isotope_zero_is_not_no_isotope(self, a, b):
+        # An isotope of 0 is written, so it may not tie with an atom that
+        # has none: the two orders of one graph must give one string.
+        ma, mb = parse_smiles(a), parse_smiles(b)
+        assert graph_isomorphic(ma, mb)
+        assert canonical_smiles(ma) == canonical_smiles(mb)
+        assert graph_isomorphic(parse_smiles(canonical_smiles(ma)), ma)
+
     def test_randomized_on_corpus(self, corpus_lines):
         rng = random.Random(7)
         for smi in rng.sample(corpus_lines, 15):
@@ -449,6 +460,68 @@ def test_parsed_topology_equals_fresh_perception(corpus_lines):
         assert m.small_rings == fresh.small_rings, smi
 
 
+def _twins_of_built_molecules(m: Molecule) -> list[Molecule]:
+    """Fresh twins (no topology read yet) of the molecules built from
+    ``m``: its fragments, their capped forms and the rejoined parent."""
+    fs = cut_bonds(m, find_brics_bonds(m))
+    built = [*fs.fragments, *map(carbon_cap, fs.fragments), rejoin(fs)]
+    return [Molecule(b.atoms, b.bonds, "") for b in built]
+
+
+def _assert_components_from_the_bridge_search(m: Molecule) -> None:
+    reference = connected_components(Molecule(m.atoms, m.bonds, ""))
+    assert m.components == reference, m.source_text
+    assert m.connected == (len(reference) <= 1), m.source_text
+
+
+def test_components_equal_the_reference_traversal(corpus_lines):
+    """``components`` comes from the bridge search's roots; it must be the
+    plain traversal's answer, for parsed molecules and fresh twins of
+    built ones."""
+    extra = ["[Na+].[Cl-]", "C.C.C", "C1CC1.C", "c1ccccc1.O", "C1CC1C.[Na+].C1CC1",
+             "O.c1ccc2ccccc2c1", "[1*]C.[2*]"]
+    pairs = [f"{a}.{b}" for a, b in zip(corpus_lines[::7], corpus_lines[3::7])]
+    for smi in corpus_lines + pairs + extra:
+        m = parse_smiles(smi)
+        _assert_components_from_the_bridge_search(m)
+        for twin in _twins_of_built_molecules(m) if "*" not in smi else ():
+            _assert_components_from_the_bridge_search(twin)
+
+
+@given(molecule_graphs())
+def test_components_equal_the_reference_traversal_on_random_graphs(mol):
+    _assert_components_from_the_bridge_search(Molecule(mol.atoms, mol.bonds, ""))
+
+
+@given(_plain_graphs())
+def test_components_equal_the_reference_traversal_on_plain_graphs(m):
+    _assert_components_from_the_bridge_search(m)
+
+
+# The README's example molecule, cut at every eligible bond.
+README_MOLECULE = "CC(=O)Nc1ccc(OCC(=O)NCCN2CCOCC2)cc1"
+
+
+def test_one_canonical_write_walks_the_graph_once():
+    """A canonical write on a fresh built molecule runs the bridge search
+    once and the component traversal never, and it decides brackets from
+    per-atom bond totals, building no per-atom order list."""
+    m = parse_smiles(README_MOLECULE)
+    merged = rejoin(cut_bonds(m, find_brics_bonds(m)))
+    fresh = Molecule(merged.atoms, merged.bonds, "")
+    with mock.patch.object(molgraph, "_ring_bits", wraps=molgraph._ring_bits) as ring_bits, \
+            mock.patch.object(molgraph, "connected_components",
+                              wraps=molgraph.connected_components) as components, \
+            mock.patch.object(molgraph, "_default_hydrogens",
+                              wraps=molgraph._default_hydrogens) as hydrogens:
+        text = canonical_smiles(fresh)
+    assert text == merged.source_text == canonical_smiles(m)
+    assert ring_bits.call_count == 1
+    assert components.call_count == 0
+    assert hydrogens.call_count <= len(fresh.atoms)
+    assert all(isinstance(arg, (str, bool, int)) for call in hydrogens.call_args_list for arg in call.args)
+
+
 def test_lazy_attributes_fill_on_first_read():
     m = parse_smiles("OC(=O)Cc1ccccc1.C1CC1")
     fresh = Molecule(atoms=m.atoms, bonds=m.bonds, source_text=m.source_text)
@@ -470,14 +543,22 @@ def test_validate_leaves_topology_unset_without_aromatic_atoms():
         assert not {"neighbors", "ring_bonds", "ring_atoms", "components"} & set(vars(fresh)), smi
 
 
+# Per bond order, its valence in half-units and its sigma slots.
+_HALF_UNITS = {SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}
+_SIGMA_SLOTS = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}
+
+
 def test_default_hydrogens_equal_the_string_keyed_rule():
     # Every valence-table element and one without an entry, aromatic or
-    # not, over every multiset of up to four bond orders.
+    # not, over every multiset of up to four bond orders, given as the
+    # bonds' half-unit and sigma totals.
     for element in [*DEFAULT_VALENCES, "Fe"]:
         for aromatic in (False, True):
             for n in range(5):
                 for orders in combinations_with_replacement((SINGLE, DOUBLE, TRIPLE, AROMATIC), n):
-                    assert _default_hydrogens(element, aromatic, list(orders)) == (
+                    half = sum(_HALF_UNITS[o] for o in orders)
+                    sigma = sum(_SIGMA_SLOTS[o] for o in orders)
+                    assert _default_hydrogens(element, aromatic, half, sigma) == (
                         default_hydrogens_reference(element, aromatic, orders)
                     ), (element, aromatic, orders)
 

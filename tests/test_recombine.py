@@ -254,3 +254,19 @@ def test_capping_carbons_are_shared():
     one, two = carbon_cap(parse_smiles("[1*]N1CCOCC1")), carbon_cap(parse_smiles("CC[3*]"))
     assert one.atoms[0] == two.atoms[2] and one.atoms[0] is two.atoms[2]
     assert one.atoms[0].h_total == 3
+
+
+def test_dummy_atoms_are_shared():
+    """Every cut side takes the one dummy record of its label."""
+    params = FragmentParams(k=1000, alpha=1.5, seed=0)
+    sets = [fragment(parse_smiles(smi), params)
+            for smi in ("CC(=O)Nc1ccc(OCC(=O)NCCN2CCOCC2)cc1", "OCCCN1CCOCC1", "CCOC(=O)c1ccccc1")]
+    by_label: dict[int, list] = {}
+    for fs in sets:
+        for f in fs.fragments:
+            for a in f.atoms:
+                if a.is_dummy:
+                    by_label.setdefault(a.link_label, []).append(a)
+    assert any(len(dummies) > 1 for dummies in by_label.values())
+    for label, dummies in by_label.items():
+        assert all(d is dummies[0] for d in dummies), label

@@ -313,3 +313,75 @@ class TestCompression:
             return
         without = len(tokenize(text, base, MOLECULE).tokens)
         assert with_groups <= without
+
+
+# Atom units, stated here apart from the package: a bracket expression,
+# a two-digit ring closure, Cl, Br, or any one character.
+_UNIT = re.compile(r"\[[^\[\]]*\]|%[0-9][0-9]|Cl|Br|.", re.S)
+
+
+def _spec_encode(text: str, vocab: Vocab) -> list[int]:
+    """The tokenizer's rule for one dot-free component, by brute force.
+
+    At each unit boundary, the longest non-special token, found by
+    scanning the whole vocabulary, that the text continues with and that
+    ends on a unit boundary; when there is none and the unit there is a
+    bracket unit, its characters one at a time."""
+    units = _UNIT.findall(text)
+    starts = [0]
+    for u in units:
+        starts.append(starts[-1] + len(u))
+    bounds = set(starts)
+    ids, k = [], 0
+    while k < len(units):
+        at = starts[k]
+        best = None
+        for idx, (tok, cls) in enumerate(zip(vocab.tokens, vocab.classes)):
+            if cls == "special" or not tok or not text.startswith(tok, at) or at + len(tok) not in bounds:
+                continue
+            if best is None or len(tok) > len(vocab.tokens[best]):
+                best = idx
+        if best is not None:
+            ids.append(best)
+            k = starts.index(at + len(vocab.tokens[best]))
+        elif units[k].startswith("["):
+            for ch in units[k]:
+                ids.append(vocab.tokens.index(ch))
+            k += 1
+        else:
+            raise UntokenizableError(units[k])
+    return ids
+
+
+def _spec_inputs(vocab, corpus_lines):
+    texts = list(corpus_lines)
+    for smi in corpus_lines[:300]:
+        m = parse_smiles(smi)
+        texts += [f.source_text for f in cut_bonds(m, find_brics_bonds(m)).fragments]
+    texts += [tok for tok, cls in zip(vocab.tokens, vocab.classes) if cls == "group"]
+    return texts + ["[13CH3]", "C[13CH3]", "[Fe+2]", "[Fe+2].[Cl-]", "[2H]C([2H])([2H])O", "[C@@H](N)Cl"]
+
+
+def _stop_at_first_terminal(node: dict) -> dict:
+    """A copy of a trie node whose walk ends at its first token."""
+    if "" in node:
+        return {"": node[""]}
+    return {unit: _stop_at_first_terminal(child) for unit, child in node.items()}
+
+
+def _agrees_with_spec(text: str, v: Vocab, spec_vocab: Vocab) -> bool:
+    begin, end = v.id_of("<BOF>"), v.id_of("<EOF>")
+    expected = [i for comp in text.split(".") for i in (begin, *_spec_encode(comp, spec_vocab), end)]
+    return list(tokenize(text, v, FRAGMENT_SET).tokens) == expected
+
+
+class TestTokenizerEqualsBruteForceSpec:
+    def test_corpus_payloads_groups_and_brackets(self, vocab, corpus_lines):
+        for text in _spec_inputs(vocab, corpus_lines):
+            assert _agrees_with_spec(text, vocab, vocab), text
+
+    def test_spec_sees_a_trie_that_stops_at_the_first_token(self, vocab, corpus_lines):
+        broken = build_vocab()
+        vars(broken)["trie"] = _stop_at_first_terminal(broken.trie)
+        texts = _spec_inputs(vocab, corpus_lines)
+        assert sum(not _agrees_with_spec(t, broken, vocab) for t in texts) > len(texts) // 2
